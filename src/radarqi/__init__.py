@@ -25,7 +25,7 @@ from .fista import (
     power_iteration_lmax,
     soft_threshold,
 )
-from .forward import Echo, SensingMatrix, add_awgn, build_sensing_matrix, synthesize_echo, synthesize_echoes
+from .forward import SensingMatrix, build_sensing_matrix, noisy_echoes, synthesize_echoes
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -58,7 +58,7 @@ from .training import (
     TrainingData,
     adam_step,
     fit,
-    hybrid_loss,
+    hybrid_loss_batch,
     load_checkpoint,
     restore_model,
     save_checkpoint,

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: synth, fista, train, infer, eval, sweep-snr, sweep-freq,
-shapes. Exit codes: 0 success, 2 configuration error, 3 data/format error,
-4 numerical divergence.
+shapes. Exit codes: 0 success, 2 configuration error (including a missing
+checkpoint), 3 data/format error, 4 numerical divergence. Exit 3 also covers
+inputs made for another scene: an ``eval --echoes`` container whose sweep or
+array differs from the config, and a checkpoint trained on another scene.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import numpy as np
 from . import io as rio
 from .config import ExperimentConfig, apply_fast_profile, load_config
 from .errors import ConfigError, DivergedError, FormatError
-from .fista import FistaConfig, ImagingOperator, fista_solve, fista_solve_many
-from .forward import build_sensing_matrix, synthesize_echoes
-from .geometry import build_doi_grid, build_sweep, build_ula
+from .fista import FistaConfig, fista_solve, fista_solve_many
 from .harness import (
     F0_GRID_GHZ,
     NETWORK_KINDS,
     SNR_GRID_DB,
+    build_experiment,
+    build_operator,
     build_scene,
+    check_scene,
     checkpoint_path,
     compare_methods,
     load_trained_model,
@@ -51,7 +54,8 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mnist-dir", help="directory with MNIST IDX files")
 
 
-def _load_cfg(args) -> ExperimentConfig:
+def _setup(args) -> tuple[ExperimentConfig, Path]:
+    """The run's config, with command-line overrides, and its output directory."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -59,21 +63,21 @@ def _load_cfg(args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, mnist_dir=args.mnist_dir)
     if args.fast:
         cfg = apply_fast_profile(cfg)
-    return cfg
-
-
-def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return cfg, out
 
 
-def _matrix_from_echo_meta(cfg: ExperimentConfig, meta: dict):
-    """Rebuild the sensing matrix the container's echoes were made with."""
-    grid = build_doi_grid(cfg.side_cells, cfg.cell_size_m)
-    array = build_ula(meta["n_antennas"], cfg.f0_hz, cfg.standoff_m)
-    sweep = build_sweep(meta["f0_hz"], meta["bandwidth_hz"], meta["n_freqs"])
-    return build_sensing_matrix(sweep, array, grid)
+def _container_operator(cfg: ExperimentConfig, meta: dict):
+    """The operator of the sweep and array an echo container was made with;
+    the antenna spacing stays that of the configured frequency."""
+    scene = dataclasses.replace(
+        cfg,
+        n_antennas=meta["n_antennas"],
+        bandwidth_hz=meta["bandwidth_hz"],
+        n_freqs=meta["n_freqs"],
+    )
+    return build_operator(scene, f0_hz=meta["f0_hz"])
 
 
 def _load_models(cfg, op, args, kinds=NETWORK_KINDS):
@@ -87,14 +91,11 @@ def _load_models(cfg, op, args, kinds=NETWORK_KINDS):
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+    cfg, out = _setup(args)
     f0_hz = args.f0_ghz * 1e9 if args.f0_ghz else cfg.f0_hz
     _, _, sweep, matrix = build_scene(cfg, f0_hz=f0_hz)
     bundle = prepare_dataset(cfg, matrix)
-    maps = getattr(bundle, f"{args.split}_maps")
-    echoes = synthesize_echoes(matrix, maps)
-    echoes = noisy_echoes(echoes, args.snr_db, cfg.seed)
+    echoes = noisy_echoes(getattr(bundle, f"{args.split}_echoes"), args.snr_db, cfg.seed)
     path = out / f"echoes_{args.split}.bin"
     rio.save_echoes(
         path,
@@ -111,37 +112,32 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fista(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+    cfg, out = _setup(args)
     echoes, meta = rio.load_echoes(args.echoes)
-    matrix = _matrix_from_echo_meta(cfg, meta)
-    op = ImagingOperator(matrix)
+    op = _container_operator(cfg, meta)
     solver_cfg = FistaConfig(
         lam=args.lam, max_iter=args.max_iter, record_objective=args.record_objective
     )
-    side = cfg.side_cells
     if args.record_objective:
-        for i, s in enumerate(echoes):
-            result = fista_solve(matrix, s, solver_cfg, op)
-            rio.write_pgm(
-                out / f"fista_{i:05d}.pgm", np.clip(result.estimate, 0, 1).reshape(side, side)
-            )
+        results = [fista_solve(op.matrix, s, solver_cfg, op) for s in echoes]
+        estimates = [result.estimate for result in results]
+        for i, result in enumerate(results):
             rio.write_csv(
                 out / f"fista_objective_{i:05d}.csv",
                 ["iteration", "objective"],
                 list(enumerate(result.objective_trace)),
             )
     else:
-        estimates = fista_solve_many(matrix, echoes, solver_cfg, op)
-        for i, est in enumerate(estimates):
-            rio.write_pgm(out / f"fista_{i:05d}.pgm", np.clip(est, 0, 1).reshape(side, side))
+        estimates = fista_solve_many(op.matrix, echoes, solver_cfg, op)
+    side = cfg.side_cells
+    for i, est in enumerate(estimates):
+        rio.write_pgm(out / f"fista_{i:05d}.pgm", np.clip(est, 0, 1).reshape(side, side))
     print(f"reconstructed {len(echoes)} echoes into {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+    cfg, out = _setup(args)
     kinds = NETWORK_KINDS if args.model == "all" else (args.model,)
     paths = train_pipeline(cfg, out, kinds)
     for kind, path in paths.items():
@@ -150,11 +146,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+    cfg, out = _setup(args)
     echoes, meta = rio.load_echoes(args.echoes)
-    matrix = _matrix_from_echo_meta(cfg, meta)
-    op = ImagingOperator(matrix)
+    op = _container_operator(cfg, meta)
     ckpt = load_checkpoint(args.checkpoint)
     model = load_trained_model(cfg, op, ckpt.kind, args.checkpoint)
     maps = np.clip(predict_maps(model, echoes, op), 0.0, 1.0)
@@ -166,14 +160,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    _, _, _, matrix = build_scene(cfg)
-    op = ImagingOperator(matrix)
-    bundle = prepare_dataset(cfg, matrix)
+    cfg, out = _setup(args)
+    op, bundle = build_experiment(cfg)
     test_echoes = bundle.test_echoes
     if args.echoes:
         test_echoes, meta = rio.load_echoes(args.echoes)
+        check_scene(cfg, meta, f"echo container {args.echoes}")
         if len(test_echoes) != len(bundle.test_maps):
             raise ConfigError(
                 f"echo container has {len(test_echoes)} echoes but the test "
@@ -190,11 +182,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_snr(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    _, _, _, matrix = build_scene(cfg)
-    op = ImagingOperator(matrix)
-    bundle = prepare_dataset(cfg, matrix)
+    cfg, out = _setup(args)
+    op, bundle = build_experiment(cfg)
     n = min(args.samples, len(bundle.test_maps))
     models = _load_models(cfg, op, args, kinds=("lfista_resnet",))
     results = sweep_snr(
@@ -214,11 +203,8 @@ def cmd_sweep_snr(args) -> int:
 
 
 def cmd_sweep_freq(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    _, _, _, matrix = build_scene(cfg)
-    op = ImagingOperator(matrix)
-    bundle = prepare_dataset(cfg, matrix)
+    cfg, out = _setup(args)
+    op, bundle = build_experiment(cfg)
     n = min(args.samples, len(bundle.test_maps))
     models = _load_models(cfg, op, args)
     all_reports = sweep_center_frequency(
@@ -233,10 +219,8 @@ def cmd_sweep_freq(args) -> int:
 
 
 def cmd_shapes(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    _, _, _, matrix = build_scene(cfg)
-    op = ImagingOperator(matrix)
+    cfg, out = _setup(args)
+    op = build_operator(cfg)
     models = _load_models(cfg, op, args)
     reports = unseen_shape_eval(cfg, op, models, out)
     for method, rep in reports.items():

@@ -68,11 +68,6 @@ class ExperimentConfig:
     def n_measurements(self) -> int:
         return self.n_freqs * self.n_antennas
 
-    @property
-    def adc_rate_hz(self) -> float:
-        """Equivalent sample rate bandwidth / n_freqs; recorded, not used."""
-        return self.bandwidth_hz / self.n_freqs
-
     def to_text(self) -> str:
         lines = []
         for f in dataclasses.fields(self):
@@ -86,6 +81,12 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
+# The fields that fix the sensing matrix. An echo container or checkpoint
+# made with other values describes another scene.
+SCENE_FIELDS = (
+    "side_cells", "cell_size_m", "standoff_m", "n_antennas", "f0_hz", "bandwidth_hz", "n_freqs"
+)
 
 
 def _parse_value(name: str, raw: str):

@@ -142,9 +142,10 @@ def split_dataset(
     )
 
 
-def _glyph_array(digit: int) -> np.ndarray:
-    rows = _DIGIT_GLYPHS[digit]
-    return np.array([[c == "#" for c in row] for row in rows], dtype=np.float64)
+def _glyph_array(rows) -> np.ndarray:
+    """A 5x7 glyph ('#' lit) scaled x3 into a 21x15 array of 0.0 and 1.0."""
+    glyph = np.array([[c == "#" for c in row] for row in rows], dtype=np.float64)
+    return np.kron(glyph, np.ones((3, 3)))
 
 
 def synthetic_digit_rasters(count: int, seed: int) -> np.ndarray:
@@ -156,8 +157,7 @@ def synthetic_digit_rasters(count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD161]))
     out = np.zeros((count, 28, 28), dtype=np.uint8)
     for i in range(count):
-        glyph = _glyph_array(int(rng.integers(0, 10)))
-        big = np.kron(glyph, np.ones((3, 3)))  # 21 x 15
+        big = _glyph_array(_DIGIT_GLYPHS[int(rng.integers(0, 10))])
         canvas = np.zeros((28, 28))
         r0 = int(rng.integers(2, 6))
         c0 = int(rng.integers(2, 12))
@@ -204,11 +204,8 @@ _LETTER_GLYPHS = {
 
 
 def _letter_raster(letter: str) -> np.ndarray:
-    rows = _LETTER_GLYPHS[letter]
-    glyph = np.array([[c == "#" for c in row] for row in rows], dtype=np.float64)
-    big = np.kron(glyph, np.ones((3, 3)))  # 21 x 15
     canvas = np.zeros((28, 28))
-    canvas[3:24, 6:21] = big
+    canvas[3:24, 6:21] = _glyph_array(_LETTER_GLYPHS[letter])
     return (canvas * 255).astype(np.uint8)
 
 

@@ -9,7 +9,7 @@ G and b are precomputed once per operator and reused every iteration.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,13 @@ def momentum_coeffs(n_iters: int) -> np.ndarray:
     return coeffs
 
 
+# The operator's iteration cap is higher than power_iteration_lmax's own
+# default: the production matrix has a clustered top of the spectrum and needs
+# ~1.3k iterations to meet the tolerance.
+POWER_TOL = 1e-8
+POWER_MAX_IT = 5000
+
+
 class ImagingOperator:
     """Precomputed real-unknown normal-equation pieces for one sensing matrix.
 
@@ -80,13 +87,10 @@ class ImagingOperator:
         Largest eigenvalue of A^H A; 1 / lmax is the safe gradient step.
     """
 
-    # The default iteration cap is higher than power_iteration_lmax's own
-    # default: the production matrix has a clustered top of the spectrum and
-    # needs ~1.3k iterations to meet the tolerance.
-    def __init__(self, a, power_tol: float = 1e-8, power_max_it: int = 5000):
+    def __init__(self, a):
         self.matrix = matrix_entries(a)
         self.gram = (self.matrix.conj().T @ self.matrix).real
-        self.lmax = power_iteration_lmax(self.matrix, power_tol, power_max_it)
+        self.lmax = power_iteration_lmax(self.matrix, POWER_TOL, POWER_MAX_IT)
 
     @property
     def n_cells(self) -> int:
@@ -131,86 +135,77 @@ class SolverResult:
     objective_trace: np.ndarray | None = None
 
 
-def energy(a, s, eps: np.ndarray, lam: float) -> float:
-    """Objective 0.5 * ||s - A eps||_2^2 + lam * ||eps||_1."""
+def energy(a, s: np.ndarray, eps: np.ndarray, lam: float) -> float:
+    """Objective 0.5 * ||s - A eps||_2^2 + lam * ||eps||_1 for one echo."""
     m = matrix_entries(a)
-    s = np.asarray(getattr(s, "samples", s))
-    residual = s - m @ np.asarray(eps, dtype=np.float64)
+    residual = np.asarray(s) - m @ np.asarray(eps, dtype=np.float64)
     return 0.5 * float(np.real(np.vdot(residual, residual))) + lam * float(
         np.sum(np.abs(eps))
     )
 
 
-def fista_solve(a, s, cfg: FistaConfig, op: ImagingOperator | None = None) -> SolverResult:
-    """Reconstruct a real reflectivity vector from one complex echo.
+def _fista_loop(op: ImagingOperator, echoes: np.ndarray, b: np.ndarray, cfg: FistaConfig):
+    """FISTA on the (P, n) columns b = Re(A^H s) of the (n, m) echoes.
 
-    Runs the accelerated proximal-gradient loop from x_0 = x_1 = 0 with a
-    fixed step (1 / lmax unless ``cfg.mu`` overrides) and per-iteration
-    shrinkage threshold lam * mu.
+    Starts from x_0 = x_1 = 0 with a fixed step (1 / lmax unless ``cfg.mu``
+    overrides) and shrinkage threshold lam * mu; with ``cfg.rel_tol`` it stops
+    once every column's relative change is below it. Returns the (P, n)
+    iterate, the iterations run, and the objective summed over the batch at
+    each iterate if ``cfg.record_objective``, else None.
+    """
+    mu = cfg.mu if cfg.mu is not None else 1.0 / op.lmax
+    thresh = cfg.lam * mu
+    weights = momentum_coeffs(cfg.max_iter)
+
+    def objective(x):
+        return sum(energy(op.matrix, s, x[:, j], cfg.lam) for j, s in enumerate(echoes))
+
+    x_prev = np.zeros_like(b)
+    x = np.zeros_like(b)
+    trace = [objective(x)] if cfg.record_objective else None
+    iterations = 0
+    for i in range(cfg.max_iter):
+        y = x + weights[i] * (x - x_prev)
+        x_prev = x
+        x = soft_threshold(y - mu * (op.gram @ y - b), thresh)
+        iterations = i + 1
+        if not np.all(np.isfinite(x)):
+            raise DivergedError(f"non-finite iterate at iteration {iterations}")
+        if trace is not None:
+            trace.append(objective(x))
+        if cfg.rel_tol is not None:
+            change = np.linalg.norm(x - x_prev, axis=0)
+            denom = np.maximum(np.linalg.norm(x_prev, axis=0), 1e-300)
+            if np.all(change / denom < cfg.rel_tol):
+                break
+    return x, iterations, trace
+
+
+def fista_solve(a, s: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None = None) -> SolverResult:
+    """Reconstruct a real reflectivity vector from one complex echo (m,):
+    the loop of :func:`fista_solve_many` on a batch of one.
 
     Raises
     ------
     DivergedError
         If an iterate stops being finite; the message names the iteration.
     """
-    samples = np.asarray(getattr(s, "samples", s))
+    s = np.asarray(s)
     if op is None:
         op = ImagingOperator(a)
-    mu = cfg.mu if cfg.mu is not None else 1.0 / op.lmax
-    thresh = cfg.lam * mu
-    b = op.rhs(samples)
-    gram = op.gram
-
-    x_prev = np.zeros(op.n_cells)
-    x = np.zeros(op.n_cells)
-    t = 1.0
-    trace = [energy(op.matrix, samples, x, cfg.lam)] if cfg.record_objective else None
-    iterations = 0
-    for i in range(cfg.max_iter):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = x + ((t - 1.0) / t_next) * (x - x_prev)
-        x_prev = x
-        x = soft_threshold(y - mu * (gram @ y - b), thresh)
-        t = t_next
-        iterations = i + 1
-        if not np.all(np.isfinite(x)):
-            raise DivergedError(f"non-finite iterate at iteration {iterations}")
-        if trace is not None:
-            trace.append(energy(op.matrix, samples, x, cfg.lam))
-        if cfg.rel_tol is not None:
-            denom = max(float(np.linalg.norm(x_prev)), 1e-300)
-            if float(np.linalg.norm(x - x_prev)) / denom < cfg.rel_tol:
-                break
+    x, iterations, trace = _fista_loop(op, s[None], op.rhs(s)[:, None], cfg)
     return SolverResult(
-        estimate=x,
+        estimate=x[:, 0],
         iterations_run=iterations,
         objective_trace=np.asarray(trace) if trace is not None else None,
     )
 
 
 def fista_solve_many(a, echoes: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None = None) -> np.ndarray:
-    """Batched solve: (n, m) echoes -> (n, P) estimates.
-
-    Same iteration as :func:`fista_solve` applied column-parallel; no
-    objective trace or early stopping.
-    """
+    """Batched solve: (n, m) echoes -> (n, P) estimates. Raises DivergedError
+    like :func:`fista_solve`."""
     echoes = np.asarray(echoes)
     if op is None:
         op = ImagingOperator(a)
-    mu = cfg.mu if cfg.mu is not None else 1.0 / op.lmax
-    thresh = cfg.lam * mu
-    b = op.rhs(echoes).T  # (P, n)
-    gram = op.gram
-
-    x_prev = np.zeros_like(b)
-    x = np.zeros_like(b)
-    t = 1.0
-    for i in range(cfg.max_iter):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = x + ((t - 1.0) / t_next) * (x - x_prev)
-        x_prev = x
-        x = soft_threshold(y - mu * (gram @ y - b), thresh)
-        t = t_next
-        if not np.all(np.isfinite(x)):
-            raise DivergedError(f"non-finite iterate at iteration {i + 1}")
+    x, _, _ = _fista_loop(op, echoes, op.rhs(echoes).T, cfg)
     return x.T

@@ -6,6 +6,9 @@ round-trip phase terms over all grid cells,
     s(n, k) = sum_p eps_p * exp(-j * 4 * pi * f_n * R_{k,p} / c),
 
 which stacks into ``s = A @ eps`` with one Nf x P block per antenna.
+Echoes are always batches of shape (n, Nf*K); a single echo is a batch of
+one. Measurement noise, where wanted, is complex AWGN added to such a batch
+at a per-echo SNR by :func:`noisy_echoes`.
 """
 
 from __future__ import annotations
@@ -39,18 +42,6 @@ class SensingMatrix:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
-class Echo:
-    """Complex frequency-domain echo samples, optionally noisy.
-
-    ``snr_db`` records the signal-to-noise ratio the noise was drawn at;
-    None means noise-free.
-    """
-
-    samples: np.ndarray
-    snr_db: float | None = None
-
-
 def build_sensing_matrix(
     sweep: FrequencySweep, array: ArrayGeometry, grid: DoiGrid
 ) -> SensingMatrix:
@@ -69,17 +60,6 @@ def matrix_entries(a) -> np.ndarray:
     return a.entries if isinstance(a, SensingMatrix) else np.asarray(a)
 
 
-def synthesize_echo(a, eps: np.ndarray) -> Echo:
-    """Noise-free echo s = A @ eps for a real reflectivity vector."""
-    m = matrix_entries(a)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != (m.shape[1],):
-        raise ValueError(
-            f"reflectivity length {eps.shape} does not match matrix columns {m.shape[1]}"
-        )
-    return Echo(m @ eps, snr_db=None)
-
-
 def synthesize_echoes(a, maps: np.ndarray) -> np.ndarray:
     """Batched noise-free synthesis: (n, P) maps -> (n, Nf*K) complex echoes."""
     m = matrix_entries(a)
@@ -89,21 +69,22 @@ def synthesize_echoes(a, maps: np.ndarray) -> np.ndarray:
     return maps @ m.T
 
 
-def add_awgn(echo: Echo, snr_db: float | None, seed: int) -> Echo:
-    """Add circularly-symmetric complex Gaussian noise at the given SNR.
+def noisy_echoes(echoes: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise to (n, m) echoes.
 
-    Per-sample noise variance is mean(|s|^2) / 10^(snr_db / 10), split
-    evenly between real and imaginary parts. Deterministic per seed.
-    ``snr_db`` of None returns the echo unchanged.
+    Each echo gets noise variance mean(|s|^2) / 10^(snr_db / 10) per sample,
+    split evenly between real and imaginary parts. Deterministic per seed.
+    ``snr_db`` of None returns the echoes unchanged.
     """
     if snr_db is None:
-        return echo
-    s = echo.samples
-    signal_power = float(np.mean(np.abs(s) ** 2))
-    if signal_power == 0.0:
+        return echoes
+    power = np.mean(np.abs(echoes) ** 2, axis=1, keepdims=True)
+    if np.any(power == 0):
         raise ValueError("cannot set a finite SNR on an all-zero echo")
-    sigma2 = signal_power / 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA96]))
+    sigma2 = power / 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB47C]))
     scale = np.sqrt(sigma2 / 2.0)
-    noise = scale * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
-    return Echo(s + noise, snr_db=float(snr_db))
+    noise = scale * (
+        rng.standard_normal(echoes.shape) + 1j * rng.standard_normal(echoes.shape)
+    )
+    return echoes + noise

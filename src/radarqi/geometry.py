@@ -85,15 +85,6 @@ class FrequencySweep:
     n_freqs: int
     freqs: np.ndarray
 
-    @property
-    def step(self) -> float:
-        return self.bandwidth / self.n_freqs
-
-    @property
-    def adc_rate(self) -> float:
-        """Equivalent real-time sample rate of the down-sampled sweep [Hz]."""
-        return self.bandwidth / self.n_freqs
-
 
 def build_doi_grid(side_cells: int, cell_size: float) -> DoiGrid:
     """Mesh the DOI into a centered square grid of cell centers.

@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as rio
-from .config import ExperimentConfig
+from .config import SCENE_FIELDS, ExperimentConfig
 from .datasets import load_digit_rasters, shape_rasters, split_dataset
 from .errors import ConfigError, FormatError
 from .fista import FistaConfig, ImagingOperator, fista_solve_many
-from .forward import SensingMatrix, build_sensing_matrix, synthesize_echoes
+from .forward import SensingMatrix, build_sensing_matrix, noisy_echoes, synthesize_echoes
 from .geometry import build_doi_grid, build_sweep, build_ula, rasters_to_maps
-from .metrics import mse, ssim
+from .metrics import image_quality
 from .models import build_model, predict_maps
 from .training import (
     Checkpoint,
@@ -58,11 +58,7 @@ class MetricsReport:
 
 
 @dataclass
-class DatasetBundle:
-    train_maps: np.ndarray
-    train_echoes: np.ndarray
-    val_maps: np.ndarray
-    val_echoes: np.ndarray
+class DatasetBundle(TrainingData):
     test_maps: np.ndarray
     test_echoes: np.ndarray
 
@@ -79,6 +75,23 @@ def build_scene(cfg: ExperimentConfig, f0_hz: float | None = None):
     return grid, array, sweep, build_sensing_matrix(sweep, array, grid)
 
 
+def build_operator(cfg: ExperimentConfig, f0_hz: float | None = None) -> ImagingOperator:
+    """The imaging operator of :func:`build_scene`'s sensing matrix."""
+    _, _, _, matrix = build_scene(cfg, f0_hz=f0_hz)
+    return ImagingOperator(matrix)
+
+
+def check_scene(cfg: ExperimentConfig, saved: dict, source: str) -> None:
+    """Raise FormatError if ``saved``, a checkpoint's config fields or an echo
+    container's header, records a scene field with another value than ``cfg``."""
+    for field in SCENE_FIELDS:
+        if field in saved and saved[field] != getattr(cfg, field):
+            raise FormatError(
+                f"{source} was made with {field}={saved[field]}, current config "
+                f"has {getattr(cfg, field)}"
+            )
+
+
 def prepare_dataset(cfg: ExperimentConfig, matrix: SensingMatrix) -> DatasetBundle:
     """Split the digit corpus and synthesize noise-free echoes per split.
 
@@ -88,38 +101,18 @@ def prepare_dataset(cfg: ExperimentConfig, matrix: SensingMatrix) -> DatasetBund
     minimum = cfg.train_size + cfg.val_size + cfg.test_size
     rasters = load_digit_rasters(cfg.mnist_dir, minimum, cfg.seed)
     sizes = (cfg.train_size, cfg.val_size, cfg.test_size)
-    train_idx, val_idx, test_idx = split_dataset(rasters, cfg.seed, sizes)
-
-    def maps_for(idx):
-        return rasters_to_maps(rasters[idx], cfg.side_cells)
-
-    train_maps = maps_for(train_idx)
-    val_maps = maps_for(val_idx)
-    test_maps = maps_for(test_idx)
-    return DatasetBundle(
-        train_maps,
-        synthesize_echoes(matrix, train_maps),
-        val_maps,
-        synthesize_echoes(matrix, val_maps),
-        test_maps,
-        synthesize_echoes(matrix, test_maps),
-    )
+    splits = {}
+    for split, idx in zip(("train", "val", "test"), split_dataset(rasters, cfg.seed, sizes)):
+        maps = rasters_to_maps(rasters[idx], cfg.side_cells)
+        splits[f"{split}_maps"] = maps
+        splits[f"{split}_echoes"] = synthesize_echoes(matrix, maps)
+    return DatasetBundle(**splits)
 
 
-def noisy_echoes(echoes: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
-    """Batched complex AWGN at per-echo signal power; None passes through."""
-    if snr_db is None:
-        return echoes
-    power = np.mean(np.abs(echoes) ** 2, axis=1, keepdims=True)
-    if np.any(power == 0):
-        raise ValueError("cannot set a finite SNR on an all-zero echo")
-    sigma2 = power / 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB47C]))
-    scale = np.sqrt(sigma2 / 2.0)
-    noise = scale * (
-        rng.standard_normal(echoes.shape) + 1j * rng.standard_normal(echoes.shape)
-    )
-    return echoes + noise
+def build_experiment(cfg: ExperimentConfig) -> tuple[ImagingOperator, DatasetBundle]:
+    """Operator and noise-free dataset bundle of the configured scene."""
+    op = build_operator(cfg)
+    return op, prepare_dataset(cfg, op.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +129,11 @@ def train_pipeline(cfg: ExperimentConfig, out_dir, kinds=NETWORK_KINDS) -> dict[
     and per-epoch CSV logs; returns the checkpoint paths by kind."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, _, _, matrix = build_scene(cfg)
-    op = ImagingOperator(matrix)
-    bundle = prepare_dataset(cfg, matrix)
-    data = TrainingData(
-        bundle.train_maps, bundle.train_echoes, bundle.val_maps, bundle.val_echoes
-    )
+    op, bundle = build_experiment(cfg)
     paths = {}
     for kind in kinds:
         model = build_model(kind, op, cfg, cfg.seed)
-        ckpt = fit(model, op, data, cfg, log_path=out_dir / f"train_log_{kind}.csv")
+        ckpt = fit(model, op, bundle, cfg, log_path=out_dir / f"train_log_{kind}.csv")
         path = checkpoint_path(out_dir, kind)
         save_checkpoint(path, ckpt)
         paths[kind] = path
@@ -153,7 +141,8 @@ def train_pipeline(cfg: ExperimentConfig, out_dir, kinds=NETWORK_KINDS) -> dict[
 
 
 def load_trained_model(cfg: ExperimentConfig, op: ImagingOperator, kind: str, path):
-    """Rebuild a network of the given kind and restore checkpoint weights."""
+    """Rebuild a network of the given kind and restore checkpoint weights;
+    a checkpoint trained on another scene raises :class:`FormatError`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(
@@ -161,12 +150,7 @@ def load_trained_model(cfg: ExperimentConfig, op: ImagingOperator, kind: str, pa
         )
     ckpt = load_checkpoint(path)
     saved = ckpt.config
-    for field in ("side_cells", "n_freqs", "n_antennas"):
-        if getattr(saved, field) != getattr(cfg, field):
-            raise FormatError(
-                f"checkpoint {path} was trained with {field}="
-                f"{getattr(saved, field)}, current config has {getattr(cfg, field)}"
-            )
+    check_scene(cfg, vars(saved), f"checkpoint {path}")
     model = build_model(kind, op, saved, saved.seed)
     restore_model(model, ckpt)
     return model
@@ -175,17 +159,6 @@ def load_trained_model(cfg: ExperimentConfig, op: ImagingOperator, kind: str, pa
 # ---------------------------------------------------------------------------
 # Method evaluation
 # ---------------------------------------------------------------------------
-
-
-def _quality(truth: np.ndarray, recon: np.ndarray, side: int):
-    clamped = np.clip(recon, 0.0, 1.0)
-    mses = np.array(
-        [mse(t.reshape(side, side), r.reshape(side, side)) for t, r in zip(truth, clamped)]
-    )
-    ssims = np.array(
-        [ssim(t.reshape(side, side), r.reshape(side, side)) for t, r in zip(truth, clamped)]
-    )
-    return mses, ssims
 
 
 def _method_runners(cfg: ExperimentConfig, op: ImagingOperator, models: dict):
@@ -223,7 +196,7 @@ def run_methods(
         recon = run(echoes)
         if timed:
             elapsed = (time.perf_counter() - start) / len(echoes)
-        mses, ssims = _quality(truth, recon, cfg.side_cells)
+        mses, ssims = image_quality(truth, recon, cfg.side_cells)
         reports[method] = MetricsReport(
             method, mses, ssims, float(np.mean(mses)), float(np.mean(ssims)), elapsed
         )
@@ -314,7 +287,7 @@ def sweep_snr(
     for k, snr in enumerate(entries):
         echoes = noisy_echoes(test_echoes, snr, seed + k)
         recon = predict_maps(model, echoes, op)
-        mses, ssims = _quality(test_maps, recon, cfg.side_cells)
+        mses, ssims = image_quality(test_maps, recon, cfg.side_cells)
         rep = MetricsReport(
             model.kind, mses, ssims, float(np.mean(mses)), float(np.mean(ssims)), float("nan")
         )
@@ -352,9 +325,8 @@ def sweep_center_frequency(
     all_reports: dict[float, dict[str, MetricsReport]] = {}
     curve = []
     for f0_ghz in f0_list_ghz:
-        _, _, _, matrix = build_scene(cfg, f0_hz=f0_ghz * 1e9)
-        op_f = ImagingOperator(matrix)
-        echoes = synthesize_echoes(matrix, test_maps)
+        op_f = build_operator(cfg, f0_hz=f0_ghz * 1e9)
+        echoes = synthesize_echoes(op_f.matrix, test_maps)
         reports, _ = run_methods(cfg, op_f, models_by_kind, test_maps, echoes)
         all_reports[f0_ghz] = reports
         for m in METHOD_ORDER:

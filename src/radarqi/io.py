@@ -90,6 +90,11 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
         meta["seed"] = int(meta["seed"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad echo container header ({exc})") from exc
+    if length != meta["n_freqs"] * meta["n_antennas"]:
+        raise FormatError(
+            f"{path}: echo length {length} is not n_freqs * n_antennas = "
+            f"{meta['n_freqs']} * {meta['n_antennas']}"
+        )
     payload = raw[pos + len(sep) :]
     expected = count * length * 2 * 8
     if len(payload) != expected:
@@ -123,19 +128,6 @@ def write_pgm(path, img: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM written by :func:`write_pgm`; returns uint8 (h, w)."""
-    raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise FormatError(f"{path}: not a binary maxval-255 PGM")
-    w, h = (int(tok) for tok in parts[1].split())
-    data = parts[3]
-    if len(data) != w * h:
-        raise FormatError(f"{path}: payload {len(data)} bytes, expected {w * h}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
 
 
 def image_grid(rows: list[list[np.ndarray]], pad: int = 1, pad_value: float = 0.5) -> np.ndarray:

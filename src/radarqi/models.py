@@ -319,7 +319,7 @@ def predict_maps(model, echoes: np.ndarray, op: ImagingOperator | None = None, c
 
 def build_model(kind: str, op: ImagingOperator, cfg, seed: int):
     """Construct a model by kind string from an ExperimentConfig."""
-    if kind == "lfista_resnet":
+    if kind in ("lfista_resnet", "fista_resnet"):
         return LFistaResNet(
             op,
             n_blocks=cfg.n_blocks,
@@ -327,18 +327,7 @@ def build_model(kind: str, op: ImagingOperator, cfg, seed: int):
             n_res_blocks=cfg.res_blocks,
             side=cfg.side_cells,
             init_lam=cfg.frozen_lambda,
-            frozen_blocks=False,
-            seed=seed,
-        )
-    if kind == "fista_resnet":
-        return LFistaResNet(
-            op,
-            n_blocks=cfg.n_blocks,
-            channels=cfg.res_channels,
-            n_res_blocks=cfg.res_blocks,
-            side=cfg.side_cells,
-            init_lam=cfg.frozen_lambda,
-            frozen_blocks=True,
+            frozen_blocks=(kind == "fista_resnet"),
             seed=seed,
         )
     if kind == "dnn":

@@ -22,9 +22,8 @@ import numpy as np
 from .config import ExperimentConfig, config_from_text
 from .errors import DivergedError, FormatError
 from .fista import ImagingOperator
-from .forward import matrix_entries
 from .io import fmt_float, write_csv
-from .metrics import mse, ssim
+from .metrics import image_quality
 from .models import predict_maps
 
 CHECKPOINT_MAGIC = "radarqi-checkpoint"
@@ -41,52 +40,26 @@ class LossWeights:
             raise ValueError("loss weights must be >= 0")
 
 
-def _loss_pieces(eps_true, eps_hat, echoes, matrix):
-    diff = eps_hat - eps_true
-    sq = np.sum(diff * diff, axis=1)
-    l1 = np.sum(np.abs(diff), axis=1)
-    residual = echoes - eps_hat @ matrix.T
-    phys = np.sum(np.abs(residual) ** 2, axis=1)
-    return diff, residual, sq, l1, phys
-
-
-def hybrid_loss(eps_true, eps_hat, s, a, w: LossWeights):
-    """Loss value and its exact gradient in the prediction, one sample.
-
-    The L1 subgradient at exact ties is 0. The physics-term gradient for a
-    real-valued prediction is 2 * lambda2 * Re(A^H (A p - s)).
-    """
-    matrix = matrix_entries(a)
-    samples = np.asarray(getattr(s, "samples", s))
-    true2 = np.atleast_2d(np.asarray(eps_true, dtype=np.float64))
-    hat2 = np.atleast_2d(np.asarray(eps_hat, dtype=np.float64))
-    diff, residual, sq, l1, phys = _loss_pieces(true2, hat2, np.atleast_2d(samples), matrix)
-    value = float(sq[0] + w.lambda1 * l1[0] + w.lambda2 * phys[0])
-    grad = (
-        2.0 * diff
-        + w.lambda1 * np.sign(diff)
-        - 2.0 * w.lambda2 * (residual @ matrix.conj()).real
-    )
-    return value, grad[0]
-
-
-def hybrid_loss_values(eps_true, eps_hat, echoes, matrix, w: LossWeights) -> np.ndarray:
-    """Per-sample loss values for a batch, no gradients."""
-    _, _, sq, l1, phys = _loss_pieces(eps_true, eps_hat, echoes, matrix)
-    return sq + w.lambda1 * l1 + w.lambda2 * phys
-
-
 def hybrid_loss_batch(eps_true, eps_hat, echoes, matrix, w: LossWeights):
-    """Mean loss over a batch and the gradient of that mean, shape (n, P)."""
-    diff, residual, sq, l1, phys = _loss_pieces(eps_true, eps_hat, echoes, matrix)
-    values = sq + w.lambda1 * l1 + w.lambda2 * phys
+    """Mean loss over an (n, P) batch and the gradient of that mean, (n, P).
+
+    A single sample is a batch of one. The L1 subgradient at exact ties is
+    0. The physics-term gradient for a real-valued prediction is
+    2 * lambda2 * Re(A^H (A p - s)).
+    """
+    diff = eps_hat - eps_true
+    residual = echoes - eps_hat @ matrix.T
+    values = (
+        np.sum(diff * diff, axis=1)
+        + w.lambda1 * np.sum(np.abs(diff), axis=1)
+        + w.lambda2 * np.sum(np.abs(residual) ** 2, axis=1)
+    )
     grad_sum = (
         2.0 * diff
         + w.lambda1 * np.sign(diff)
         - 2.0 * w.lambda2 * (residual @ matrix.conj()).real
     )
-    n = len(values)
-    return float(np.mean(values)), grad_sum / n
+    return float(np.mean(values)), grad_sum / len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +220,7 @@ def load_checkpoint(path) -> Checkpoint:
     param_order: list = []
     adam_m: dict = {}
     adam_v: dict = {}
+    used = 0
     for line in header[idx:]:
         try:
             name, shape_text, offset_text = line.split()
@@ -261,6 +235,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: array {name} needs bytes up to {end}, payload has "
                 f"{len(payload)}"
             )
+        used = max(used, end)
         arr = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
         group, _, base = name.partition(".")
         if group == "param":
@@ -272,6 +247,11 @@ def load_checkpoint(path) -> Checkpoint:
             adam_v[base] = arr
         else:
             raise FormatError(f"{path}: unknown array group {group!r}")
+    if len(payload) > used:
+        raise FormatError(
+            f"{path}: {len(payload) - used} bytes past the last array, which ends at "
+            f"payload byte {used}"
+        )
 
     try:
         return Checkpoint(
@@ -334,11 +314,9 @@ class TrainingData:
 
 def _validation_metrics(model, op, data: TrainingData, w: LossWeights, side: int):
     pred = predict_maps(model, data.val_echoes, op)
-    losses = hybrid_loss_values(data.val_maps, pred, data.val_echoes, op.matrix, w)
-    clamped = np.clip(pred, 0.0, 1.0)
-    mses = [mse(t.reshape(side, side), p.reshape(side, side)) for t, p in zip(data.val_maps, clamped)]
-    ssims = [ssim(t.reshape(side, side), p.reshape(side, side)) for t, p in zip(data.val_maps, clamped)]
-    return float(np.mean(losses)), float(np.mean(mses)), float(np.mean(ssims))
+    loss, _ = hybrid_loss_batch(data.val_maps, pred, data.val_echoes, op.matrix, w)
+    mses, ssims = image_quality(data.val_maps, pred, side)
+    return loss, float(np.mean(mses)), float(np.mean(ssims))
 
 
 def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, log_path=None) -> Checkpoint:

@@ -1,6 +1,7 @@
 """Shared fixtures: the production-scale operator, a tiny fast scene, and a
 session-scoped desk-scale CLI pipeline run used by the acceptance checks."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -67,13 +68,25 @@ def small_scene():
     return cfg, grid, array, sweep, matrix
 
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, cwd):
-    """Invoke the installed CLI in a subprocess; returns CompletedProcess."""
+    """Invoke the CLI of this checkout in a subprocess; returns CompletedProcess.
+
+    The absolute ``src`` path goes first on PYTHONPATH, because a relative
+    entry does not resolve from ``cwd``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+    )
     return subprocess.run(
         [sys.executable, "-m", "radarqi.cli", *args],
         cwd=cwd,
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

@@ -12,7 +12,7 @@ from radarqi.fista import (
     power_iteration_lmax,
     soft_threshold,
 )
-from radarqi.forward import build_sensing_matrix, synthesize_echo
+from radarqi.forward import synthesize_echoes
 from radarqi.geometry import build_doi_grid, build_sweep, build_ula
 
 
@@ -94,7 +94,7 @@ class TestEnergy:
         rng = np.random.default_rng(4)
         eps = np.zeros(grid.n_cells)
         eps[rng.integers(0, grid.n_cells, 10)] = rng.uniform(0, 1, 10)
-        s = synthesize_echo(matrix, eps)
+        s = synthesize_echoes(matrix, eps[None])[0]
         assert energy(matrix, s, eps, 0.01) == pytest.approx(0.01 * np.sum(np.abs(eps)))
 
     def test_term_by_term_oracle(self):
@@ -127,7 +127,7 @@ class TestFistaSolve:
         _, grid, _, _, matrix = table1_scene
         eps = np.zeros(grid.n_cells)
         eps[300] = 1.0
-        s = synthesize_echo(matrix, eps)
+        s = synthesize_echoes(matrix, eps[None])[0]
         cfg = FistaConfig(lam=0.001, max_iter=300)
         result = fista_solve(matrix, s, cfg, op=table1_op)
         assert int(np.argmax(result.estimate)) == 300
@@ -171,13 +171,37 @@ class TestFistaSolve:
             single = fista_solve(matrix, echoes[i], cfg, op=table1_op)
             np.testing.assert_allclose(batch[i], single.estimate, atol=1e-12)
 
+    def test_batch_of_one_bit_identical(self, table1_scene, table1_op):
+        _, grid, _, _, matrix = table1_scene
+        rng = np.random.default_rng(10)
+        eps = rng.uniform(0, 1, grid.n_cells) * (rng.uniform(size=grid.n_cells) < 0.1)
+        s = synthesize_echoes(matrix, eps[None])[0]
+        cfg = FistaConfig(lam=0.001, max_iter=80)
+        single = fista_solve(matrix, s, cfg, op=table1_op)
+        batch = fista_solve_many(matrix, s[None], cfg, op=table1_op)
+        np.testing.assert_array_equal(batch[0], single.estimate)
+
+    def test_batch_stops_when_every_column_converged(self):
+        # the zero echo meets rel_tol at once; the batch runs on until the
+        # other column meets it too, and no further
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(10, 25)) + 1j * rng.normal(size=(10, 25))
+        echoes = np.stack([np.zeros(10), a @ rng.uniform(0, 1, 25)])
+        op = ImagingOperator(a)
+        cfg = FistaConfig(lam=0.01, max_iter=5000, rel_tol=1e-6)
+        k = fista_solve(a, echoes[1], cfg, op).iterations_run
+        assert 1 < k < 5000
+        stopped = fista_solve_many(a, echoes, cfg, op)
+        fixed = fista_solve_many(a, echoes, FistaConfig(lam=0.01, max_iter=k), op)
+        np.testing.assert_array_equal(stopped, fixed)
+
     def test_endpoint_energy_decrease_sweep(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(8)
         for lam in (0.001, 0.01):
             eps = np.zeros(grid.n_cells)
             eps[rng.integers(0, grid.n_cells, 12)] = rng.uniform(0.2, 1, 12)
-            s = synthesize_echo(matrix, eps)
+            s = synthesize_echoes(matrix, eps[None])[0]
             cfg = FistaConfig(lam=lam, max_iter=100)
             result = fista_solve(matrix, s, cfg, op=table1_op)
             e0 = energy(matrix, s, np.zeros(grid.n_cells), lam)

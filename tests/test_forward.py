@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from radarqi.forward import (
-    Echo,
-    add_awgn,
-    build_sensing_matrix,
-    synthesize_echo,
-    synthesize_echoes,
-)
+from radarqi.forward import build_sensing_matrix, noisy_echoes, synthesize_echoes
 from radarqi.geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -76,27 +70,30 @@ class TestSensingMatrix:
             np.testing.assert_allclose(a.entries[i], expected, atol=1e-12)
 
 
+def synthesize_one(a, eps):
+    """One echo, synthesized as a batch of one."""
+    return synthesize_echoes(a, np.asarray(eps)[None])[0]
+
+
 class TestSynthesizeEcho:
     def test_zero_map_zero_echo(self):
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
-        echo = synthesize_echo(a, np.zeros(grid.n_cells))
-        assert np.all(echo.samples == 0)
-        assert echo.snr_db is None
+        assert np.all(synthesize_one(a, np.zeros(grid.n_cells)) == 0)
 
     def test_unit_cell_selects_column(self):
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
         eps = np.zeros(grid.n_cells)
         eps[4] = 1.0
-        np.testing.assert_allclose(synthesize_echo(a, eps).samples, a.entries[:, 4])
+        np.testing.assert_allclose(synthesize_one(a, eps), a.entries[:, 4])
 
     def test_matches_double_loop_oracle(self):
         grid, array, sweep = toy_scene(3, 5, 3)
         a = build_sensing_matrix(sweep, array, grid)
         rng = np.random.default_rng(0)
         eps = rng.uniform(0, 1, grid.n_cells)
-        got = synthesize_echo(a, eps).samples
+        got = synthesize_one(a, eps)
         want = brute_force_echo(sweep, array, grid, eps)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -107,10 +104,9 @@ class TestSynthesizeEcho:
         eps2 = np.zeros(grid.n_cells)
         eps1[[0, 3, 7]] = (0.2, 0.9, 0.5)
         eps2[[1, 3]] = (0.4, 0.1)
-        s12 = synthesize_echo(a, eps1 + eps2).samples
+        s12 = synthesize_one(a, eps1 + eps2)
         np.testing.assert_allclose(
-            s12, synthesize_echo(a, eps1).samples + synthesize_echo(a, eps2).samples,
-            atol=1e-10,
+            s12, synthesize_one(a, eps1) + synthesize_one(a, eps2), atol=1e-10
         )
 
     def test_real_scaling_exact(self):
@@ -119,14 +115,16 @@ class TestSynthesizeEcho:
         rng = np.random.default_rng(1)
         eps = rng.uniform(0, 1, grid.n_cells)
         np.testing.assert_array_equal(
-            synthesize_echo(a, 2.0 * eps).samples, 2.0 * synthesize_echo(a, eps).samples
+            synthesize_one(a, 2.0 * eps), 2.0 * synthesize_one(a, eps)
         )
 
     def test_dimension_mismatch(self):
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
         with pytest.raises(ValueError):
-            synthesize_echo(a, np.zeros(grid.n_cells + 1))
+            synthesize_one(a, np.zeros(grid.n_cells + 1))
+        with pytest.raises(ValueError):
+            synthesize_echoes(a, np.zeros(grid.n_cells))
 
     def test_batch_matches_single(self):
         grid, array, sweep = toy_scene()
@@ -135,39 +133,44 @@ class TestSynthesizeEcho:
         maps = rng.uniform(0, 1, (4, grid.n_cells))
         batch = synthesize_echoes(a, maps)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], synthesize_echo(a, maps[i]).samples)
+            np.testing.assert_allclose(batch[i], synthesize_one(a, maps[i]))
 
 
 class TestAwgn:
-    def _unit_power_echo(self, n=200):
+    def _unit_power_echoes(self, n=200):
         rng = np.random.default_rng(3)
-        phases = rng.uniform(0, 2 * np.pi, n)
-        return Echo(np.exp(1j * phases))
+        phases = rng.uniform(0, 2 * np.pi, (1, n))
+        return np.exp(1j * phases)
 
     def test_none_passthrough(self):
-        echo = self._unit_power_echo()
-        assert add_awgn(echo, None, seed=0) is echo
+        echoes = self._unit_power_echoes()
+        assert noisy_echoes(echoes, None, seed=0) is echoes
 
     def test_noise_power_within_15_percent(self):
-        echo = self._unit_power_echo(200)
-        noisy = add_awgn(echo, 10.0, seed=0)
-        noise = noisy.samples - echo.samples
+        echoes = self._unit_power_echoes(200)
+        noise = noisy_echoes(echoes, 10.0, seed=0) - echoes
         measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(0.1, rel=0.15)
-        assert noisy.snr_db == 10.0
+
+    def test_noise_power_is_per_echo(self):
+        echoes = self._unit_power_echoes(400).reshape(2, 200) * np.array([[1.0], [10.0]])
+        noise = noisy_echoes(echoes, 10.0, seed=0) - echoes
+        measured = np.mean(np.abs(noise) ** 2, axis=1)
+        np.testing.assert_allclose(measured, [0.1, 10.0], rtol=0.15)
 
     def test_deterministic_per_seed(self):
-        echo = self._unit_power_echo()
-        a = add_awgn(echo, 5.0, seed=42)
-        b = add_awgn(echo, 5.0, seed=42)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        echoes = self._unit_power_echoes()
+        a = noisy_echoes(echoes, 5.0, seed=42)
+        b = noisy_echoes(echoes, 5.0, seed=42)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        echo = self._unit_power_echo()
-        a = add_awgn(echo, 5.0, seed=1)
-        b = add_awgn(echo, 5.0, seed=2)
-        assert not np.array_equal(a.samples, b.samples)
+        echoes = self._unit_power_echoes()
+        a = noisy_echoes(echoes, 5.0, seed=1)
+        b = noisy_echoes(echoes, 5.0, seed=2)
+        assert not np.array_equal(a, b)
 
     def test_zero_echo_rejected(self):
+        echoes = np.stack([self._unit_power_echoes(8)[0], np.zeros(8, dtype=complex)])
         with pytest.raises(ValueError):
-            add_awgn(Echo(np.zeros(8, dtype=complex)), 10.0, seed=0)
+            noisy_echoes(echoes, 10.0, seed=0)

@@ -198,8 +198,6 @@ class TestSweep:
         assert sw.freqs[0] == 30e9
         assert np.all(np.diff(sw.freqs) > 0)
         np.testing.assert_allclose(np.diff(sw.freqs), 5e9 / 50)
-        assert sw.step == 1e8
-        assert sw.adc_rate == 1e8
 
     def test_invalid(self):
         with pytest.raises(ValueError):

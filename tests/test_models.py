@@ -4,7 +4,7 @@ import pytest
 from conftest import finite_difference_grad, relative_grad_error
 from radarqi.config import ExperimentConfig
 from radarqi.fista import ImagingOperator
-from radarqi.forward import synthesize_echo
+from radarqi.forward import synthesize_echoes
 from radarqi.models import EchoDnn, LFistaResNet, build_model, predict_maps
 from radarqi.nn_ops import softplus_inv
 
@@ -95,7 +95,7 @@ class TestUnrolledForward:
         rng = np.random.default_rng(0)
         eps = np.zeros(grid.n_cells)
         eps[rng.integers(0, grid.n_cells, 20)] = rng.uniform(0.2, 1.0, 20)
-        s = synthesize_echo(matrix, eps).samples
+        s = synthesize_echoes(matrix, eps[None])[0]
         mu = 1.0 / table1_op.lmax
         want = relu_fista_oracle(matrix.entries, s, mu, 0.01 * mu, 20)
         got = model.lfista_stage(s)[0]
@@ -161,9 +161,9 @@ class TestModelForward:
         _, grid, _, _, matrix = table1_scene
         eps = np.zeros(grid.n_cells)
         eps[100] = 1.0
-        s = synthesize_echo(matrix, eps)
+        s = synthesize_echoes(matrix, eps[None])[0]
         model = LFistaResNet(table1_op)
-        out = model.forward(s.samples)
+        out = model.forward(s)
         assert out.shape == (784,)
         assert np.all(np.isfinite(out))
 

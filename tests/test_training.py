@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from conftest import finite_difference_grad, relative_grad_error
 from radarqi.config import ExperimentConfig
 from radarqi.errors import FormatError
 from radarqi.fista import ImagingOperator
-from radarqi.forward import add_awgn, synthesize_echo, synthesize_echoes
-from radarqi.harness import build_scene, prepare_dataset, unseen_shape_eval
+from radarqi.forward import noisy_echoes, synthesize_echoes
+from radarqi.harness import build_scene, load_trained_model, prepare_dataset, unseen_shape_eval
 from radarqi.models import EchoDnn, LFistaResNet, build_model
 from radarqi.training import (
     AdamState,
@@ -16,7 +18,6 @@ from radarqi.training import (
     TrainingData,
     adam_step,
     fit,
-    hybrid_loss,
     hybrid_loss_batch,
     load_checkpoint,
     restore_model,
@@ -24,13 +25,21 @@ from radarqi.training import (
 )
 
 
+def loss_one(eps_true, eps_hat, s, a, w):
+    """Loss value and gradient for one sample, as a batch of one."""
+    value, grad = hybrid_loss_batch(
+        np.asarray(eps_true)[None], np.asarray(eps_hat)[None], np.asarray(s)[None], a, w
+    )
+    return value, grad[0]
+
+
 class TestHybridLoss:
     def test_zero_at_perfect_prediction(self, table1_scene):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(0)
         eps = rng.uniform(0, 1, grid.n_cells) * (rng.uniform(size=grid.n_cells) < 0.2)
-        s = synthesize_echo(matrix, eps)
-        value, grad = hybrid_loss(eps, eps, s, matrix, LossWeights())
+        s = synthesize_echoes(matrix, eps[None])[0]
+        value, grad = loss_one(eps, eps, s, matrix.entries, LossWeights())
         assert value < 1e-10
         # away from the data term everything cancels; only L1 ties remain at 0
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
@@ -39,7 +48,7 @@ class TestHybridLoss:
         a = np.eye(4)
         s = np.array([1.0, 2.0, 0.0, 0.0])
         w = LossWeights(lambda1=0.1, lambda2=0.05)
-        value, _ = hybrid_loss(np.zeros(4), np.zeros(4), s, a, w)
+        value, _ = loss_one(np.zeros(4), np.zeros(4), s, a, w)
         assert value == pytest.approx(0.05 * 5.0)
 
     def test_term_by_term_oracle(self):
@@ -49,7 +58,7 @@ class TestHybridLoss:
         pred = rng.uniform(0, 1, 9)
         s = a @ truth
         w = LossWeights(lambda1=0.1, lambda2=0.05)
-        value, _ = hybrid_loss(truth, pred, s, a, w)
+        value, _ = loss_one(truth, pred, s, a, w)
         diff = truth - pred
         expected = (
             np.sum(diff**2)
@@ -65,10 +74,8 @@ class TestHybridLoss:
         pred = truth + rng.uniform(0.05, 0.3, 9) * rng.choice([-1, 1], 9)
         s = a @ truth
         w = LossWeights()
-        _, grad = hybrid_loss(truth, pred, s, a, w)
-        fd = finite_difference_grad(
-            lambda v: hybrid_loss(truth, v, s, a, w)[0], pred.copy()
-        )
+        _, grad = loss_one(truth, pred, s, a, w)
+        fd = finite_difference_grad(lambda v: loss_one(truth, v, s, a, w)[0], pred.copy())
         assert relative_grad_error(grad, fd) < 1e-4
 
     def test_decomposition(self):
@@ -77,21 +84,21 @@ class TestHybridLoss:
         truth = rng.uniform(0, 1, 8)
         pred = rng.uniform(0, 1, 8)
         s = a @ truth
-        mse_term = hybrid_loss(truth, pred, s, a, LossWeights(0.0, 0.0))[0]
-        l1_term = hybrid_loss(truth, pred, s, a, LossWeights(1.0, 0.0))[0] - mse_term
-        phys_term = hybrid_loss(truth, pred, s, a, LossWeights(0.0, 1.0))[0] - mse_term
-        total = hybrid_loss(truth, pred, s, a, LossWeights(0.1, 0.05))[0]
+        mse_term = loss_one(truth, pred, s, a, LossWeights(0.0, 0.0))[0]
+        l1_term = loss_one(truth, pred, s, a, LossWeights(1.0, 0.0))[0] - mse_term
+        phys_term = loss_one(truth, pred, s, a, LossWeights(0.0, 1.0))[0] - mse_term
+        total = loss_one(truth, pred, s, a, LossWeights(0.1, 0.05))[0]
         assert total == pytest.approx(mse_term + 0.1 * l1_term + 0.05 * phys_term, abs=1e-12)
 
     def test_physics_term_equals_injected_noise_power(self, table1_scene):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(4)
         eps = rng.uniform(0, 1, grid.n_cells) * (rng.uniform(size=grid.n_cells) < 0.2)
-        clean = synthesize_echo(matrix, eps)
-        noisy = add_awgn(clean, 10.0, seed=7)
+        clean = synthesize_echoes(matrix, eps[None])
+        noisy = noisy_echoes(clean, 10.0, seed=7)
         w = LossWeights(lambda1=0.0, lambda2=1.0)
-        value, _ = hybrid_loss(eps, eps, noisy, matrix, w)
-        injected = np.sum(np.abs(noisy.samples - clean.samples) ** 2)
+        value, _ = loss_one(eps, eps, noisy[0], matrix.entries, w)
+        injected = np.sum(np.abs(noisy - clean) ** 2)
         assert value == pytest.approx(injected, rel=1e-12)
 
     def test_batch_matches_single(self):
@@ -102,7 +109,7 @@ class TestHybridLoss:
         echoes = truth @ a.T
         w = LossWeights()
         mean, grad = hybrid_loss_batch(truth, pred, echoes, a, w)
-        singles = [hybrid_loss(truth[i], pred[i], echoes[i], a, w) for i in range(3)]
+        singles = [loss_one(truth[i], pred[i], echoes[i], a, w) for i in range(3)]
         assert mean == pytest.approx(np.mean([v for v, _ in singles]), abs=1e-12)
         for i in range(3):
             np.testing.assert_allclose(grad[i], singles[i][1] / 3.0, atol=1e-12)
@@ -283,6 +290,14 @@ class TestCheckpointIO:
         with pytest.raises(FormatError):
             load_checkpoint(tmp_path / "short.ckpt")
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, ckpt = self._checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        (tmp_path / "long.ckpt").write_bytes(path.read_bytes() + bytes(32))
+        with pytest.raises(FormatError, match="32 bytes past the last array"):
+            load_checkpoint(tmp_path / "long.ckpt")
+
     def test_unknown_version_rejected(self, tmp_path):
         _, _, ckpt = self._checkpoint()
         path = tmp_path / "model.ckpt"
@@ -330,6 +345,37 @@ class TestCheckpointIO:
         restore_model(fresh, ckpt)
         for name in ckpt.params:
             np.testing.assert_array_equal(fresh.params[name], ckpt.params[name])
+
+
+class TestLoadTrainedModel:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("side_cells", 6),
+            ("cell_size_m", 0.02),
+            ("standoff_m", 1.0),
+            ("n_antennas", 3),
+            ("f0_hz", 32e9),
+            ("bandwidth_hz", 4e9),
+            ("n_freqs", 10),
+        ],
+    )
+    def test_checkpoint_from_another_scene_rejected(self, tmp_path, field, value):
+        cfg, op, data, model = tiny_training_setup(epochs=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, fit(model, op, data, cfg))
+        other = dataclasses.replace(cfg, **{field: value})
+        with pytest.raises(FormatError, match=field):
+            load_trained_model(other, op, model.kind, path)
+
+    def test_same_scene_loads(self, tmp_path):
+        cfg, op, data, model = tiny_training_setup(epochs=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, fit(model, op, data, cfg))
+        other = dataclasses.replace(cfg, seed=cfg.seed + 1, epochs=3)
+        loaded = load_trained_model(other, op, model.kind, path)
+        for name in model.params:
+            np.testing.assert_array_equal(loaded.params[name], model.params[name])
 
 
 class TestUnseenShapesOffNativeGrid:
