@@ -22,7 +22,6 @@ from .fista import (
     energy,
     fista_solve,
     fista_solve_many,
-    power_iteration_lmax,
     soft_threshold,
 )
 from .forward import SensingMatrix, build_sensing_matrix, noisy_echoes, synthesize_echoes

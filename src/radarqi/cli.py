@@ -4,7 +4,8 @@ Subcommands: synth, fista, train, infer, eval, sweep-snr, sweep-freq,
 shapes. Exit codes: 0 success, 2 configuration error (including a missing
 checkpoint), 3 data/format error, 4 numerical divergence. Exit 3 also covers
 inputs made for another scene: an ``eval --echoes`` container whose sweep or
-array differs from the config, and a checkpoint trained on another scene.
+array differs from the config or whose echo count differs from the test
+split, and a checkpoint trained on another scene.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .harness import (
     unseen_shape_eval,
 )
 from .models import predict_maps
-from .training import load_checkpoint
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -149,13 +149,12 @@ def cmd_infer(args) -> int:
     cfg, out = _setup(args)
     echoes, meta = rio.load_echoes(args.echoes)
     op = _container_operator(cfg, meta)
-    ckpt = load_checkpoint(args.checkpoint)
-    model = load_trained_model(cfg, op, ckpt.kind, args.checkpoint)
+    model = load_trained_model(cfg, op, None, args.checkpoint)
     maps = np.clip(predict_maps(model, echoes, op), 0.0, 1.0)
     side = cfg.side_cells
     for i, m in enumerate(maps):
         rio.write_pgm(out / f"infer_{i:05d}.pgm", m.reshape(side, side))
-    print(f"reconstructed {len(maps)} echoes with {ckpt.kind} into {out}")
+    print(f"reconstructed {len(maps)} echoes with {model.kind} into {out}")
     return 0
 
 
@@ -167,7 +166,7 @@ def cmd_eval(args) -> int:
         test_echoes, meta = rio.load_echoes(args.echoes)
         check_scene(cfg, meta, f"echo container {args.echoes}")
         if len(test_echoes) != len(bundle.test_maps):
-            raise ConfigError(
+            raise FormatError(
                 f"echo container has {len(test_echoes)} echoes but the test "
                 f"split has {len(bundle.test_maps)}"
             )

@@ -3,12 +3,13 @@
 The unknown reflectivity is real while the data and operator are complex,
 so the smooth-term gradient restricted to real vectors is
 ``Re(A^H (A x - s)) = G x - b`` with ``G = Re(A^H A)`` and ``b = Re(A^H s)``.
-G and b are precomputed once per operator and reused every iteration.
+Both come from the stacked real operator ``B = [Re A; Im A]``, built once per
+operator: ``G = B^T B`` and ``b = [Re s, Im s] B``. The fixed step is
+``1 / lmax`` with ``lmax`` the exact largest eigenvalue of ``A^H A``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,42 +18,14 @@ from .errors import DivergedError
 from .forward import matrix_entries
 
 
-def soft_threshold(x: np.ndarray, theta: float) -> np.ndarray:
-    """Elementwise S_theta(x) = sign(x) * max(|x| - theta, 0)."""
+def soft_threshold(x: np.ndarray, theta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise S_theta(x) = sign(x) * max(|x| - theta, 0), written into
+    ``out`` if given (which must not be ``x`` itself)."""
     if theta < 0:
         raise ValueError(f"threshold must be >= 0, got {theta}")
-    return np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
-
-
-def power_iteration_lmax(a, tol: float = 1e-8, max_it: int = 500) -> float:
-    """Largest eigenvalue of A^H A by power iteration.
-
-    Starts from the normalized all-ones vector and stops when the Rayleigh
-    quotient changes by less than ``tol`` relative. Warns and returns the
-    last estimate if ``max_it`` is exhausted first.
-    """
-    m = matrix_entries(a)
-    if not np.any(m):
-        raise ValueError("power iteration requires a nonzero matrix")
-    v = np.ones(m.shape[1], dtype=np.complex128)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_it):
-        w = m.conj().T @ (m @ v)
-        lam_new = float(np.real(np.vdot(v, w)))
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    warnings.warn(
-        f"power iteration did not reach tol={tol} within {max_it} iterations; "
-        f"returning last estimate {lam}",
-        RuntimeWarning,
-    )
-    return lam
+    mag = np.subtract(np.abs(x, out=out), theta, out=out)
+    np.maximum(mag, 0.0, out=mag)
+    return np.copysign(mag, x, out=mag)
 
 
 def momentum_coeffs(n_iters: int) -> np.ndarray:
@@ -67,13 +40,6 @@ def momentum_coeffs(n_iters: int) -> np.ndarray:
     return coeffs
 
 
-# The operator's iteration cap is higher than power_iteration_lmax's own
-# default: the production matrix has a clustered top of the spectrum and needs
-# ~1.3k iterations to meet the tolerance.
-POWER_TOL = 1e-8
-POWER_MAX_IT = 5000
-
-
 class ImagingOperator:
     """Precomputed real-unknown normal-equation pieces for one sensing matrix.
 
@@ -81,16 +47,23 @@ class ImagingOperator:
     ----------
     matrix : np.ndarray, shape (m, P)
         The complex forward operator.
+    stacked : np.ndarray, shape (2m, P)
+        The real operator B = [Re A; Im A], so that Re(A^H s) = [Re s, Im s] B.
     gram : np.ndarray, shape (P, P)
-        Re(A^H A), symmetric positive semidefinite.
+        Re(A^H A) = B^T B, C-contiguous and exactly symmetric.
     lmax : float
         Largest eigenvalue of A^H A; 1 / lmax is the safe gradient step.
     """
 
     def __init__(self, a):
         self.matrix = matrix_entries(a)
-        self.gram = (self.matrix.conj().T @ self.matrix).real
-        self.lmax = power_iteration_lmax(self.matrix, POWER_TOL, POWER_MAX_IT)
+        if not np.any(self.matrix):
+            raise ValueError("the imaging operator requires a nonzero matrix")
+        self.stacked = np.concatenate([self.matrix.real, self.matrix.imag])
+        self.gram = self.stacked.T @ self.stacked
+        # A A^H (m x m) has the nonzero spectrum of A^H A (P x P) and is the
+        # smaller matrix when the scene is compressive (m < P).
+        self.lmax = float(np.linalg.eigvalsh(self.matrix @ self.matrix.conj().T)[-1])
 
     @property
     def n_cells(self) -> int:
@@ -99,18 +72,16 @@ class ImagingOperator:
     def rhs(self, s: np.ndarray) -> np.ndarray:
         """b = Re(A^H s); accepts a single echo (m,) or a batch (n, m)."""
         s = np.asarray(s)
-        if s.ndim == 1:
-            return (self.matrix.conj().T @ s).real
-        return (s @ self.matrix.conj()).real
+        return np.concatenate([s.real, s.imag], axis=-1) @ self.stacked
 
 
 @dataclass
 class FistaConfig:
     """Solver settings.
 
-    ``mu`` of None means 1 / lmax from power iteration. ``rel_tol`` of None
-    disables early stopping (the solver then runs exactly ``max_iter``
-    iterations).
+    ``mu`` of None means 1 / lmax, with lmax the exact largest eigenvalue of
+    A^H A. ``rel_tol`` of None disables early stopping (the solver then runs
+    exactly ``max_iter`` iterations).
     """
 
     lam: float = 0.001
@@ -162,14 +133,22 @@ def _fista_loop(op: ImagingOperator, echoes: np.ndarray, b: np.ndarray, cfg: Fis
 
     x_prev = np.zeros_like(b)
     x = np.zeros_like(b)
+    y = np.empty_like(b)
+    g = np.empty_like(b)
     trace = [objective(x)] if cfg.record_objective else None
     iterations = 0
     for i in range(cfg.max_iter):
-        y = x + weights[i] * (x - x_prev)
-        x_prev = x
-        x = soft_threshold(y - mu * (op.gram @ y - b), thresh)
+        np.subtract(x, x_prev, out=y)
+        y *= weights[i]
+        y += x
+        np.matmul(op.gram, y, out=g)
+        g -= b
+        g *= mu
+        np.subtract(y, g, out=g)
+        # x_prev is no longer needed: the new iterate goes into its buffer
+        x_prev, x = x, soft_threshold(g, thresh, out=x_prev)
         iterations = i + 1
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergedError(f"non-finite iterate at iteration {iterations}")
         if trace is not None:
             trace.append(objective(x))
@@ -193,7 +172,7 @@ def fista_solve(a, s: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None =
     s = np.asarray(s)
     if op is None:
         op = ImagingOperator(a)
-    x, iterations, trace = _fista_loop(op, s[None], op.rhs(s)[:, None], cfg)
+    x, iterations, trace = _fista_loop(op, s[None], op.rhs(s[None]).T, cfg)
     return SolverResult(
         estimate=x[:, 0],
         iterations_run=iterations,

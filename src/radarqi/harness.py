@@ -140,18 +140,18 @@ def train_pipeline(cfg: ExperimentConfig, out_dir, kinds=NETWORK_KINDS) -> dict[
     return paths
 
 
-def load_trained_model(cfg: ExperimentConfig, op: ImagingOperator, kind: str, path):
-    """Rebuild a network of the given kind and restore checkpoint weights;
-    a checkpoint trained on another scene raises :class:`FormatError`."""
+def load_trained_model(cfg: ExperimentConfig, op: ImagingOperator, kind: str | None, path):
+    """Rebuild a network of the given kind (None: the kind the checkpoint was
+    saved as) and restore checkpoint weights; a missing checkpoint raises
+    :class:`ConfigError`, one trained on another scene :class:`FormatError`."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(
-            f"missing checkpoint for method {kind!r}: {path} (run `radarqi train` first)"
-        )
+        method = f" for method {kind!r}" if kind else ""
+        raise ConfigError(f"missing checkpoint{method}: {path} (run `radarqi train` first)")
     ckpt = load_checkpoint(path)
     saved = ckpt.config
     check_scene(cfg, vars(saved), f"checkpoint {path}")
-    model = build_model(kind, op, saved, saved.seed)
+    model = build_model(kind or ckpt.kind, op, saved, saved.seed)
     restore_model(model, ckpt)
     return model
 

@@ -3,9 +3,11 @@ write byte-identical artifacts, and the exit-code contract holds."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import run_cli
+from radarqi import io as rio
 
 SMALL_CONFIG = """\
 side_cells = 8
@@ -116,6 +118,54 @@ def test_missing_checkpoint_exits_2(two_runs):
     )
     assert proc.returncode == 2, proc.stderr
     assert "missing checkpoint" in proc.stderr
+
+
+def test_infer_missing_checkpoint_exits_2(two_runs):
+    workdir, config, (run1, _) = two_runs
+    proc = run_cli(
+        ["infer", "--config", str(config), "--out-dir", str(workdir / "x"),
+         "--echoes", str(run1 / "echoes_test.bin"), "--checkpoint", str(workdir / "none.ckpt")],
+        workdir,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "missing checkpoint" in proc.stderr
+
+
+def test_container_with_another_echo_count_exits_3(two_runs):
+    workdir, config, (run1, _) = two_runs
+    other = workdir / "train_split"
+    cli_ok(["synth", "--config", str(config), "--out-dir", str(other), "--split", "train"], workdir)
+    proc = run_cli(
+        ["eval", "--config", str(config), "--out-dir", str(other), "--checkpoint-dir", str(run1),
+         "--echoes", str(other / "echoes_train.bin")],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "test split" in proc.stderr
+
+
+def test_non_finite_echo_exits_4(two_runs):
+    workdir, config, (run1, _) = two_runs
+    echoes, meta = rio.load_echoes(run1 / "echoes_test.bin")
+    echoes[3, 0] = np.nan
+    path = workdir / "nan_echo.bin"
+    rio.save_echoes(
+        path,
+        echoes,
+        f0_hz=meta["f0_hz"],
+        bandwidth_hz=meta["bandwidth_hz"],
+        n_freqs=meta["n_freqs"],
+        n_antennas=meta["n_antennas"],
+        snr_db=meta["snr_db"],
+        seed=meta["seed"],
+    )
+    proc = run_cli(
+        ["fista", "--config", str(config), "--out-dir", str(workdir / "nan"),
+         "--echoes", str(path), "--max-iter", "5"],
+        workdir,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "iteration" in proc.stderr
 
 
 def test_container_from_another_sweep_exits_3(two_runs):

@@ -9,7 +9,6 @@ from radarqi.fista import (
     fista_solve,
     fista_solve_many,
     momentum_coeffs,
-    power_iteration_lmax,
     soft_threshold,
 )
 from radarqi.forward import synthesize_echoes
@@ -43,30 +42,32 @@ class TestSoftThreshold:
             assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
-class TestPowerIteration:
+class TestLipschitzConstant:
     def test_identity(self):
-        assert power_iteration_lmax(np.eye(4)) == pytest.approx(1.0)
+        assert ImagingOperator(np.eye(4)).lmax == pytest.approx(1.0)
 
     def test_scalar_matrix(self):
-        assert power_iteration_lmax(np.array([[2.0]])) == pytest.approx(4.0)
+        assert ImagingOperator(np.array([[2.0]])).lmax == pytest.approx(4.0)
         # so the derived step is 1/4
 
     def test_against_dense_eigensolver_on_submatrix(self, table1_scene):
         _, _, _, _, matrix = table1_scene
         sub = matrix.entries[:, :20]
         dense = np.linalg.eigvalsh(sub.conj().T @ sub)[-1]
-        assert power_iteration_lmax(sub) == pytest.approx(dense, rel=1e-6)
+        assert ImagingOperator(sub).lmax == pytest.approx(dense, rel=1e-12)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
-            power_iteration_lmax(np.zeros((3, 3)))
+            ImagingOperator(np.zeros((3, 3)))
 
-    def test_nonconvergence_warns_and_returns(self):
-        # two nearly equal top eigenvalues stall the Rayleigh quotient
-        m = np.diag([1.0, 1.0 - 1e-12, 0.5])
-        with pytest.warns(RuntimeWarning, match="power iteration"):
-            est = power_iteration_lmax(m, tol=1e-16, max_it=5)
-        assert est == pytest.approx(1.0, rel=1e-3)
+    def test_bounds_rayleigh_quotients(self, table1_scene, table1_op):
+        _, _, _, _, matrix = table1_scene
+        rng = np.random.default_rng(12)
+        shape = (50, matrix.entries.shape[1])
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        av = v @ matrix.entries.T
+        quotients = np.sum(np.abs(av) ** 2, axis=1) / np.sum(np.abs(v) ** 2, axis=1)
+        assert np.all(quotients <= table1_op.lmax)
 
 
 class TestMomentum:
@@ -213,7 +214,7 @@ class TestGradientStepOperator:
         # with mu = 1/lmax(A^H A), eigs of I - mu * Re(A^H A) stay in [-1, 1]
         _, _, _, _, matrix = table1_scene
         sub = matrix.entries[:, :20]
-        mu = 1.0 / power_iteration_lmax(sub)
+        mu = 1.0 / ImagingOperator(sub).lmax
         gram = (sub.conj().T @ sub).real
         eigs = np.linalg.eigvalsh(np.eye(20) - mu * gram)
         assert np.max(np.abs(eigs)) <= 1.0 + 1e-9
@@ -230,6 +231,15 @@ class TestImagingOperator:
         batch = table1_op.rhs(np.stack([s, 2 * s]))
         np.testing.assert_allclose(batch[0], single, atol=1e-12)
         np.testing.assert_allclose(batch[1], 2 * single, atol=1e-12)
+
+    def test_gram_is_contiguous_symmetric_real_part(self, table1_scene, table1_op):
+        _, _, _, _, matrix = table1_scene
+        gram = table1_op.gram
+        assert gram.dtype == np.float64
+        assert gram.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(gram, gram.T)
+        dense = (matrix.entries.conj().T @ matrix.entries).real
+        assert np.max(np.abs(gram - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_column_norm_lower_bound(self, table1_scene, table1_op):
         # columns of A have norm sqrt(m) so lmax >= m

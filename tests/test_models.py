@@ -167,6 +167,18 @@ class TestModelForward:
         assert out.shape == (784,)
         assert np.all(np.isfinite(out))
 
+    def test_single_echo_matches_its_batch_row(self, table1_scene, table1_op):
+        # a single echo runs the gram product as gemv, a batch as gemm; the
+        # two sum in different orders, so compare against the output's scale
+        _, grid, _, _, matrix = table1_scene
+        rng = np.random.default_rng(13)
+        maps = rng.uniform(0, 1, (4, grid.n_cells)) * (rng.uniform(size=(4, grid.n_cells)) < 0.1)
+        echoes = synthesize_echoes(matrix, maps)
+        model = LFistaResNet(table1_op)
+        batched = model.forward(echoes)
+        for echo, row in zip(echoes, batched):
+            assert np.max(np.abs(model.forward(echo) - row)) <= 1e-12 * np.max(np.abs(row))
+
     def test_predict_maps_chunking(self):
         # chunked evaluation may reorder BLAS sums; only last-bit differences
         model = small_model(seed=6)
