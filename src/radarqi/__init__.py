@@ -24,7 +24,7 @@ from .fista import (
     fista_solve_many,
     soft_threshold,
 )
-from .forward import SensingMatrix, build_sensing_matrix, noisy_echoes, synthesize_echoes
+from .forward import build_sensing_matrix, noisy_echoes, synthesize_echoes
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,

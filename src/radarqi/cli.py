@@ -20,7 +20,7 @@ import numpy as np
 from . import io as rio
 from .config import ExperimentConfig, apply_fast_profile, load_config
 from .errors import ConfigError, DivergedError, FormatError
-from .fista import FistaConfig, fista_solve, fista_solve_many
+from .fista import FistaConfig, fista_solve
 from .harness import (
     F0_GRID_GHZ,
     NETWORK_KINDS,
@@ -80,6 +80,11 @@ def _container_operator(cfg: ExperimentConfig, meta: dict):
     return build_operator(scene, f0_hz=meta["f0_hz"])
 
 
+def _check_samples(args) -> None:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+
+
 def _load_models(cfg, op, args, kinds=NETWORK_KINDS):
     ckpt_dir = Path(getattr(args, "checkpoint_dir", None) or args.out_dir)
     return {k: load_trained_model(cfg, op, k, checkpoint_path(ckpt_dir, k)) for k in kinds}
@@ -92,7 +97,7 @@ def _load_models(cfg, op, args, kinds=NETWORK_KINDS):
 
 def cmd_synth(args) -> int:
     cfg, out = _setup(args)
-    f0_hz = args.f0_ghz * 1e9 if args.f0_ghz else cfg.f0_hz
+    f0_hz = None if args.f0_ghz is None else args.f0_ghz * 1e9
     _, _, sweep, matrix = build_scene(cfg, f0_hz=f0_hz)
     bundle = prepare_dataset(cfg, matrix)
     echoes = noisy_echoes(getattr(bundle, f"{args.split}_echoes"), args.snr_db, cfg.seed)
@@ -118,19 +123,16 @@ def cmd_fista(args) -> int:
     solver_cfg = FistaConfig(
         lam=args.lam, max_iter=args.max_iter, record_objective=args.record_objective
     )
+    result = fista_solve(op.matrix, echoes, solver_cfg, op)
     if args.record_objective:
-        results = [fista_solve(op.matrix, s, solver_cfg, op) for s in echoes]
-        estimates = [result.estimate for result in results]
-        for i, result in enumerate(results):
+        for i, trace in enumerate(result.objective_trace):
             rio.write_csv(
                 out / f"fista_objective_{i:05d}.csv",
                 ["iteration", "objective"],
-                list(enumerate(result.objective_trace)),
+                list(enumerate(trace)),
             )
-    else:
-        estimates = fista_solve_many(op.matrix, echoes, solver_cfg, op)
     side = cfg.side_cells
-    for i, est in enumerate(estimates):
+    for i, est in enumerate(result.estimate):
         rio.write_pgm(out / f"fista_{i:05d}.pgm", np.clip(est, 0, 1).reshape(side, side))
     print(f"reconstructed {len(echoes)} echoes into {out}")
     return 0
@@ -181,6 +183,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_snr(args) -> int:
+    _check_samples(args)
     cfg, out = _setup(args)
     op, bundle = build_experiment(cfg)
     n = min(args.samples, len(bundle.test_maps))
@@ -202,6 +205,7 @@ def cmd_sweep_snr(args) -> int:
 
 
 def cmd_sweep_freq(args) -> int:
+    _check_samples(args)
     cfg, out = _setup(args)
     op, bundle = build_experiment(cfg)
     n = min(args.samples, len(bundle.test_maps))
@@ -251,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--echoes", required=True, help="input echo container")
     p.add_argument("--lambda", dest="lam", type=float, default=0.001)
     p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--record-objective", action="store_true")
+    p.add_argument(
+        "--record-objective",
+        action="store_true",
+        help="also write each echo's objective at every iterate to fista_objective_<i>.csv",
+    )
     p.set_defaults(func=cmd_fista)
 
     p = sub.add_parser("train", help="train the reconstruction networks")

@@ -59,6 +59,11 @@ class ExperimentConfig:
             raise ConfigError("split sizes must be >= 1")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        # a config file holds one stripped value per line
+        if self.mnist_dir != self.mnist_dir.strip() or len(self.mnist_dir.splitlines()) > 1:
+            raise ConfigError(
+                f"mnist_dir must be one line without surrounding whitespace, got {self.mnist_dir!r}"
+            )
 
     @property
     def n_cells(self) -> int:

@@ -6,6 +6,10 @@ so the smooth-term gradient restricted to real vectors is
 Both come from the stacked real operator ``B = [Re A; Im A]``, built once per
 operator: ``G = B^T B`` and ``b = [Re s, Im s] B``. The fixed step is
 ``1 / lmax`` with ``lmax`` the exact largest eigenvalue of ``A^H A``.
+
+:func:`fista_solve` takes one echo or a batch; a batch runs as one set of
+columns, and its objective trace, when recorded, is computed for the whole
+batch at each iteration.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedError
-from .forward import matrix_entries
 
 
 def soft_threshold(x: np.ndarray, theta: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -56,7 +59,7 @@ class ImagingOperator:
     """
 
     def __init__(self, a):
-        self.matrix = matrix_entries(a)
+        self.matrix = np.asarray(a)
         if not np.any(self.matrix):
             raise ValueError("the imaging operator requires a nonzero matrix")
         self.stacked = np.concatenate([self.matrix.real, self.matrix.imag])
@@ -106,63 +109,70 @@ class SolverResult:
     objective_trace: np.ndarray | None = None
 
 
-def energy(a, s: np.ndarray, eps: np.ndarray, lam: float) -> float:
-    """Objective 0.5 * ||s - A eps||_2^2 + lam * ||eps||_1 for one echo."""
-    m = matrix_entries(a)
-    residual = np.asarray(s) - m @ np.asarray(eps, dtype=np.float64)
-    return 0.5 * float(np.real(np.vdot(residual, residual))) + lam * float(
-        np.sum(np.abs(eps))
+def energy(a, s: np.ndarray, eps: np.ndarray, lam: float):
+    """Objective 0.5 * ||s - A eps||_2^2 + lam * ||eps||_1.
+
+    One echo (m,) with its estimate (P,) gives a float; a batch (n, m) with
+    (n, P) estimates gives the (n,) values of its rows.
+    """
+    eps = np.asarray(eps, dtype=np.float64)
+    residual = np.asarray(s) - eps @ np.asarray(a).T
+    value = 0.5 * np.sum(residual.real**2 + residual.imag**2, axis=-1) + lam * np.sum(
+        np.abs(eps), axis=-1
     )
+    return float(value) if value.ndim == 0 else value
 
 
-def _fista_loop(op: ImagingOperator, echoes: np.ndarray, b: np.ndarray, cfg: FistaConfig):
-    """FISTA on the (P, n) columns b = Re(A^H s) of the (n, m) echoes.
+def _fista_loop(op: ImagingOperator, echoes: np.ndarray, cfg: FistaConfig):
+    """FISTA on the (n, m) echoes, as the (P, n) columns b = Re(A^H s).
 
     Starts from x_0 = x_1 = 0 with a fixed step (1 / lmax unless ``cfg.mu``
     overrides) and shrinkage threshold lam * mu; with ``cfg.rel_tol`` it stops
-    once every column's relative change is below it. Returns the (P, n)
-    iterate, the iterations run, and the objective summed over the batch at
-    each iterate if ``cfg.record_objective``, else None.
+    once every column's relative change is below it. Returns the (n, P)
+    estimates, the iterations run, and, if ``cfg.record_objective``, the
+    (n, iterations + 1) objective of each echo at each iterate, else None.
     """
     mu = cfg.mu if cfg.mu is not None else 1.0 / op.lmax
     thresh = cfg.lam * mu
     weights = momentum_coeffs(cfg.max_iter)
-
-    def objective(x):
-        return sum(energy(op.matrix, s, x[:, j], cfg.lam) for j, s in enumerate(echoes))
-
+    b = op.rhs(echoes).T
     x_prev = np.zeros_like(b)
     x = np.zeros_like(b)
     y = np.empty_like(b)
     g = np.empty_like(b)
-    trace = [objective(x)] if cfg.record_objective else None
+    trace = [energy(op.matrix, echoes, x.T, cfg.lam)] if cfg.record_objective else None
     iterations = 0
-    for i in range(cfg.max_iter):
-        np.subtract(x, x_prev, out=y)
-        y *= weights[i]
-        y += x
-        np.matmul(op.gram, y, out=g)
-        g -= b
-        g *= mu
-        np.subtract(y, g, out=g)
-        # x_prev is no longer needed: the new iterate goes into its buffer
-        x_prev, x = x, soft_threshold(g, thresh, out=x_prev)
-        iterations = i + 1
-        if not np.isfinite(x).all():
-            raise DivergedError(f"non-finite iterate at iteration {iterations}")
-        if trace is not None:
-            trace.append(objective(x))
-        if cfg.rel_tol is not None:
-            change = np.linalg.norm(x - x_prev, axis=0)
-            denom = np.maximum(np.linalg.norm(x_prev, axis=0), 1e-300)
-            if np.all(change / denom < cfg.rel_tol):
-                break
-    return x, iterations, trace
+    # Overflow is reported by the isfinite check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.max_iter):
+            np.subtract(x, x_prev, out=y)
+            y *= weights[i]
+            y += x
+            np.matmul(op.gram, y, out=g)
+            g -= b
+            g *= mu
+            np.subtract(y, g, out=g)
+            # x_prev is no longer needed: the new iterate goes into its buffer
+            x_prev, x = x, soft_threshold(g, thresh, out=x_prev)
+            iterations = i + 1
+            if not np.isfinite(x).all():
+                raise DivergedError(f"non-finite iterate at iteration {iterations}")
+            if trace is not None:
+                trace.append(energy(op.matrix, echoes, x.T, cfg.lam))
+            if cfg.rel_tol is not None:
+                change = np.linalg.norm(x - x_prev, axis=0)
+                denom = np.maximum(np.linalg.norm(x_prev, axis=0), 1e-300)
+                if np.all(change / denom < cfg.rel_tol):
+                    break
+    return x.T, iterations, None if trace is None else np.stack(trace, axis=1)
 
 
 def fista_solve(a, s: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None = None) -> SolverResult:
-    """Reconstruct a real reflectivity vector from one complex echo (m,):
-    the loop of :func:`fista_solve_many` on a batch of one.
+    """Reconstruct real reflectivity from one complex echo (m,) or a batch (n, m).
+
+    The estimate is (P,) or (n, P), and the objective trace, when recorded,
+    (T,) or (n, T) with T = iterations_run + 1. A batch stops when every
+    echo meets ``cfg.rel_tol``.
 
     Raises
     ------
@@ -172,19 +182,15 @@ def fista_solve(a, s: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None =
     s = np.asarray(s)
     if op is None:
         op = ImagingOperator(a)
-    x, iterations, trace = _fista_loop(op, s[None], op.rhs(s[None]).T, cfg)
-    return SolverResult(
-        estimate=x[:, 0],
-        iterations_run=iterations,
-        objective_trace=np.asarray(trace) if trace is not None else None,
-    )
+    x, iterations, trace = _fista_loop(op, np.atleast_2d(s), cfg)
+    if s.ndim == 1:
+        x, trace = x[0], None if trace is None else trace[0]
+    return SolverResult(estimate=x, iterations_run=iterations, objective_trace=trace)
 
 
 def fista_solve_many(a, echoes: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None = None) -> np.ndarray:
     """Batched solve: (n, m) echoes -> (n, P) estimates. Raises DivergedError
     like :func:`fista_solve`."""
-    echoes = np.asarray(echoes)
     if op is None:
         op = ImagingOperator(a)
-    x, _, _ = _fista_loop(op, echoes, op.rhs(echoes).T, cfg)
-    return x.T
+    return _fista_loop(op, np.asarray(echoes), cfg)[0]

@@ -5,7 +5,8 @@ round-trip phase terms over all grid cells,
 
     s(n, k) = sum_p eps_p * exp(-j * 4 * pi * f_n * R_{k,p} / c),
 
-which stacks into ``s = A @ eps`` with one Nf x P block per antenna.
+which stacks into ``s = A @ eps`` with one Nf x P block per antenna. ``A``
+is a plain complex (Nf*K, P) array, and every function here takes it as one.
 Echoes are always batches of shape (n, Nf*K); a single echo is a batch of
 one. Measurement noise, where wanted, is complex AWGN added to such a batch
 at a per-echo SNR by :func:`noisy_echoes`.
@@ -13,56 +14,30 @@ at a per-echo SNR by :func:`noisy_echoes`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, DoiGrid, FrequencySweep, distances
 
 
-@dataclass(frozen=True)
-class SensingMatrix:
-    """Stacked per-antenna phase matrix A of shape (Nf*K, P).
+def build_sensing_matrix(
+    sweep: FrequencySweep, array: ArrayGeometry, grid: DoiGrid
+) -> np.ndarray:
+    """Assemble the (Nf*K, P) matrix A with entries exp(-j * 4 * pi * f_n * R_{k,p} / c).
 
     Rows are antenna-major: row i belongs to antenna ``i // Nf`` and
     frequency index ``i % Nf``. Every entry has unit modulus.
     """
-
-    entries: np.ndarray
-    sweep: FrequencySweep
-    array: ArrayGeometry
-    grid: DoiGrid
-
-    @property
-    def n_measurements(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cells(self) -> int:
-        return self.entries.shape[1]
-
-
-def build_sensing_matrix(
-    sweep: FrequencySweep, array: ArrayGeometry, grid: DoiGrid
-) -> SensingMatrix:
-    """Assemble A with entries exp(-j * 4 * pi * f_n * R_{k,p} / c)."""
     r = distances(array, grid)  # (K, P)
     # (K, Nf, P) phases, then stacked antenna-major into (Nf*K, P).
     phase = (
         4.0 * np.pi / SPEED_OF_LIGHT * sweep.freqs[None, :, None] * r[:, None, :]
     )
-    entries = np.exp(-1j * phase).reshape(-1, grid.n_cells)
-    return SensingMatrix(entries, sweep, array, grid)
-
-
-def matrix_entries(a) -> np.ndarray:
-    """Accept either a SensingMatrix or a plain complex matrix."""
-    return a.entries if isinstance(a, SensingMatrix) else np.asarray(a)
+    return np.exp(-1j * phase).reshape(-1, grid.n_cells)
 
 
 def synthesize_echoes(a, maps: np.ndarray) -> np.ndarray:
     """Batched noise-free synthesis: (n, P) maps -> (n, Nf*K) complex echoes."""
-    m = matrix_entries(a)
+    m = np.asarray(a)
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 2 or maps.shape[1] != m.shape[1]:
         raise ValueError(f"expected maps of shape (n, {m.shape[1]}), got {maps.shape}")

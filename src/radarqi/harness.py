@@ -19,7 +19,7 @@ from .config import SCENE_FIELDS, ExperimentConfig
 from .datasets import load_digit_rasters, shape_rasters, split_dataset
 from .errors import ConfigError, FormatError
 from .fista import FistaConfig, ImagingOperator, fista_solve_many
-from .forward import SensingMatrix, build_sensing_matrix, noisy_echoes, synthesize_echoes
+from .forward import build_sensing_matrix, noisy_echoes, synthesize_echoes
 from .geometry import build_doi_grid, build_sweep, build_ula, rasters_to_maps
 from .metrics import image_quality
 from .models import build_model, predict_maps
@@ -64,14 +64,14 @@ class DatasetBundle(TrainingData):
 
 
 def build_scene(cfg: ExperimentConfig, f0_hz: float | None = None):
-    """Grid, array, sweep, and sensing matrix from a config.
+    """Grid, array, sweep, and the complex (m, P) sensing matrix from a config.
 
     ``f0_hz`` overrides the sweep start frequency only; the antenna array
     keeps the spacing of the configured (deployed) frequency.
     """
     grid = build_doi_grid(cfg.side_cells, cfg.cell_size_m)
     array = build_ula(cfg.n_antennas, cfg.f0_hz, cfg.standoff_m)
-    sweep = build_sweep(f0_hz or cfg.f0_hz, cfg.bandwidth_hz, cfg.n_freqs)
+    sweep = build_sweep(cfg.f0_hz if f0_hz is None else f0_hz, cfg.bandwidth_hz, cfg.n_freqs)
     return grid, array, sweep, build_sensing_matrix(sweep, array, grid)
 
 
@@ -92,7 +92,7 @@ def check_scene(cfg: ExperimentConfig, saved: dict, source: str) -> None:
             )
 
 
-def prepare_dataset(cfg: ExperimentConfig, matrix: SensingMatrix) -> DatasetBundle:
+def prepare_dataset(cfg: ExperimentConfig, matrix: np.ndarray) -> DatasetBundle:
     """Split the digit corpus and synthesize noise-free echoes per split.
 
     The 28x28 rasters are resampled to the configured ``side_cells`` grid

@@ -52,12 +52,9 @@ def save_echoes(
         f"seed = {seed}\n"
         "[binary]\n"
     )
-    interleaved = np.empty((count, length, 2))
-    interleaved[:, :, 0] = echoes.real
-    interleaved[:, :, 1] = echoes.imag
     with open(path, "wb") as f:
         f.write(header.encode("utf-8"))
-        f.write(interleaved.astype("<f8").tobytes())
+        f.write(echoes.astype("<c16").tobytes())
 
 
 def load_echoes(path) -> tuple[np.ndarray, dict]:
@@ -102,10 +99,10 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
             f"{path}: binary payload is {len(payload)} bytes at offset "
             f"{pos + len(sep)}, expected {expected}"
         )
-    flat = np.frombuffer(payload, dtype="<f8").reshape(count, length, 2)
+    echoes = np.frombuffer(payload, dtype="<c16").reshape(count, length)
     meta["count"] = count
     meta["length"] = length
-    return flat[:, :, 0] + 1j * flat[:, :, 1], meta
+    return echoes.astype(np.complex128), meta
 
 
 # ---------------------------------------------------------------------------

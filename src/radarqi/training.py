@@ -228,6 +228,8 @@ def load_checkpoint(path) -> Checkpoint:
             offset = int(offset_text)
         except ValueError as exc:
             raise FormatError(f"{path}: bad array manifest line {line!r}") from exc
+        if offset < 0 or min(shape) < 0:
+            raise FormatError(f"{path}: negative offset or dimension in manifest line {line!r}")
         count = int(np.prod(shape))
         end = offset + count * 8
         if end > len(payload):

@@ -191,3 +191,44 @@ def test_checkpoint_from_another_scene_exits_3(two_runs):
     )
     assert proc.returncode == 3, proc.stderr
     assert "bandwidth_hz" in proc.stderr
+
+
+def test_record_objective_keeps_the_reconstructions(two_runs):
+    workdir, config, (run1, _) = two_runs
+    plain = workdir / "fista_plain"
+    cli_ok(["fista", "--config", str(config), "--out-dir", str(plain),
+            "--echoes", str(run1 / "echoes_test.bin"), "--max-iter", "200"], workdir)
+    traced = artifacts(run1 / "fista")
+    pgms = {name: data for name, data in traced.items() if name.endswith(".pgm")}
+    assert len(pgms) == 8
+    assert pgms == artifacts(plain)
+    traces = sorted(name for name in traced if name.startswith("fista_objective_"))
+    assert traces == [f"fista_objective_{i:05d}.csv" for i in range(8)]
+    for name in traces:
+        lines = traced[name].decode().splitlines()
+        assert lines[0] == "iteration,objective"
+        assert len(lines) == 1 + 201
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["synth", "--f0-ghz", "0"], "f0"),
+        (["synth", "--f0-ghz", "-3"], "f0"),
+        (["sweep-freq", "--f0-ghz", "0", "31"], "f0"),
+        (["sweep-snr", "--samples", "-3"], "--samples"),
+        (["sweep-snr", "--samples", "0"], "--samples"),
+        (["sweep-freq", "--samples", "0"], "--samples"),
+    ],
+)
+def test_override_values_taken_as_given(two_runs, tmp_path, args, message):
+    workdir, config, (run1, _) = two_runs
+    out = tmp_path / "out"
+    proc = run_cli(
+        args[:1] + ["--config", str(config), "--out-dir", str(out), *args[1:]]
+        + (["--checkpoint-dir", str(run1)] if args[0] != "synth" else []),
+        workdir,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not (out / "echoes_test.bin").exists()

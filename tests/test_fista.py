@@ -52,7 +52,7 @@ class TestLipschitzConstant:
 
     def test_against_dense_eigensolver_on_submatrix(self, table1_scene):
         _, _, _, _, matrix = table1_scene
-        sub = matrix.entries[:, :20]
+        sub = matrix[:, :20]
         dense = np.linalg.eigvalsh(sub.conj().T @ sub)[-1]
         assert ImagingOperator(sub).lmax == pytest.approx(dense, rel=1e-12)
 
@@ -63,9 +63,9 @@ class TestLipschitzConstant:
     def test_bounds_rayleigh_quotients(self, table1_scene, table1_op):
         _, _, _, _, matrix = table1_scene
         rng = np.random.default_rng(12)
-        shape = (50, matrix.entries.shape[1])
+        shape = (50, matrix.shape[1])
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        av = v @ matrix.entries.T
+        av = v @ matrix.T
         quotients = np.sum(np.abs(av) ** 2, axis=1) / np.sum(np.abs(v) ** 2, axis=1)
         assert np.all(quotients <= table1_op.lmax)
 
@@ -107,6 +107,17 @@ class TestEnergy:
         residual = s - a @ eps
         expected = 0.5 * np.sum(np.abs(residual) ** 2) + lam * np.sum(np.abs(eps))
         assert energy(a, s, eps, lam) == pytest.approx(expected, abs=1e-12)
+
+    def test_batch_rows_match_single_echo(self, table1_scene):
+        _, grid, _, _, matrix = table1_scene
+        rng = np.random.default_rng(13)
+        maps = rng.uniform(0, 1, (4, grid.n_cells)) * (rng.uniform(size=(4, grid.n_cells)) < 0.1)
+        echoes = synthesize_echoes(matrix, maps) + rng.normal(size=(4, matrix.shape[0]))
+        batch = energy(matrix, echoes, maps, 0.01)
+        assert batch.shape == (4,)
+        single = [energy(matrix, s, eps, 0.01) for s, eps in zip(echoes, maps)]
+        assert all(isinstance(v, float) for v in single)
+        np.testing.assert_allclose(batch, single, rtol=1e-12)
 
 
 class TestFistaSolve:
@@ -165,12 +176,28 @@ class TestFistaSolve:
         maps = rng.uniform(0, 1, (3, grid.n_cells)) * (
             rng.uniform(size=(3, grid.n_cells)) < 0.1
         )
-        echoes = maps @ matrix.entries.T
+        echoes = maps @ matrix.T
         cfg = FistaConfig(lam=0.001, max_iter=60)
         batch = fista_solve_many(matrix, echoes, cfg, op=table1_op)
         for i in range(3):
             single = fista_solve(matrix, echoes[i], cfg, op=table1_op)
             np.testing.assert_allclose(batch[i], single.estimate, atol=1e-12)
+
+    def test_fista_solve_on_a_batch_matches_each_echo(self, table1_scene, table1_op):
+        _, grid, _, _, matrix = table1_scene
+        rng = np.random.default_rng(14)
+        maps = rng.uniform(0, 1, (3, grid.n_cells)) * (rng.uniform(size=(3, grid.n_cells)) < 0.1)
+        echoes = synthesize_echoes(matrix, maps)
+        cfg = FistaConfig(lam=0.001, max_iter=60, record_objective=True)
+        batch = fista_solve(matrix, echoes, cfg, op=table1_op)
+        assert batch.estimate.shape == (3, grid.n_cells)
+        assert batch.objective_trace.shape == (3, 61)
+        assert batch.iterations_run == 60
+        for i in range(3):
+            single = fista_solve(matrix, echoes[i], cfg, op=table1_op)
+            assert single.objective_trace.shape == (61,)
+            np.testing.assert_allclose(batch.estimate[i], single.estimate, atol=1e-12)
+            np.testing.assert_allclose(batch.objective_trace[i], single.objective_trace, rtol=1e-10)
 
     def test_batch_of_one_bit_identical(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
@@ -213,7 +240,7 @@ class TestGradientStepOperator:
     def test_spectral_radius_on_submatrix(self, table1_scene):
         # with mu = 1/lmax(A^H A), eigs of I - mu * Re(A^H A) stay in [-1, 1]
         _, _, _, _, matrix = table1_scene
-        sub = matrix.entries[:, :20]
+        sub = matrix[:, :20]
         mu = 1.0 / ImagingOperator(sub).lmax
         gram = (sub.conj().T @ sub).real
         eigs = np.linalg.eigvalsh(np.eye(20) - mu * gram)
@@ -224,8 +251,8 @@ class TestImagingOperator:
     def test_rhs_single_and_batch(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(9)
-        s = rng.normal(size=matrix.n_measurements) + 1j * rng.normal(
-            size=matrix.n_measurements
+        s = rng.normal(size=matrix.shape[0]) + 1j * rng.normal(
+            size=matrix.shape[0]
         )
         single = table1_op.rhs(s)
         batch = table1_op.rhs(np.stack([s, 2 * s]))
@@ -238,11 +265,11 @@ class TestImagingOperator:
         assert gram.dtype == np.float64
         assert gram.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(gram, gram.T)
-        dense = (matrix.entries.conj().T @ matrix.entries).real
+        dense = (matrix.conj().T @ matrix).real
         assert np.max(np.abs(gram - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_column_norm_lower_bound(self, table1_scene, table1_op):
         # columns of A have norm sqrt(m) so lmax >= m
         _, _, _, _, matrix = table1_scene
-        assert table1_op.lmax >= matrix.n_measurements
+        assert table1_op.lmax >= matrix.shape[0]
         assert np.isfinite(table1_op.lmax)

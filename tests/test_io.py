@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radarqi.errors import FormatError
 from radarqi.io import load_echoes, save_echoes
@@ -46,3 +51,47 @@ class TestEchoContainer:
         (tmp_path / "bad.bin").write_bytes(data)
         with pytest.raises(FormatError, match="length"):
             load_echoes(tmp_path / "bad.bin")
+
+
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@st.composite
+def containers(draw):
+    """Echoes with any float64 real and imaginary parts, and header values."""
+    n_freqs = draw(st.integers(1, 4))
+    n_antennas = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 3)), n_freqs * n_antennas)
+    echoes = np.empty(shape, dtype=np.complex128)
+    echoes.real = draw(arrays(np.float64, shape))
+    echoes.imag = draw(arrays(np.float64, shape))
+    header = {
+        "f0_hz": draw(st.floats(allow_nan=False)),
+        "bandwidth_hz": draw(st.floats(allow_nan=False)),
+        "n_freqs": n_freqs,
+        "n_antennas": n_antennas,
+        "snr_db": draw(st.none() | st.floats(allow_nan=False)),
+        "seed": draw(st.integers(-(2**63), 2**63 - 1)),
+    }
+    return echoes, header
+
+
+@settings(max_examples=60, deadline=None)
+@given(container=containers())
+def test_round_trip_keeps_every_bit(tmp_path_factory, container):
+    echoes, header = container
+    path = tmp_path_factory.mktemp("hypothesis") / "echoes.bin"
+    save_echoes(path, echoes, **header)
+    loaded, meta = load_echoes(path)
+    assert loaded.dtype == np.complex128 and loaded.flags.writeable
+    np.testing.assert_array_equal(loaded.view(np.uint64), echoes.view(np.uint64))
+    assert (meta["count"], meta["length"]) == echoes.shape
+    for key in ("f0_hz", "bandwidth_hz"):
+        assert same_bits(meta[key], header[key])
+    if header["snr_db"] is None:
+        assert meta["snr_db"] is None
+    else:
+        assert same_bits(meta["snr_db"], header["snr_db"])
+    for key in ("n_freqs", "n_antennas", "seed"):
+        assert meta[key] == header[key]

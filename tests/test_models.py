@@ -97,7 +97,7 @@ class TestUnrolledForward:
         eps[rng.integers(0, grid.n_cells, 20)] = rng.uniform(0.2, 1.0, 20)
         s = synthesize_echoes(matrix, eps[None])[0]
         mu = 1.0 / table1_op.lmax
-        want = relu_fista_oracle(matrix.entries, s, mu, 0.01 * mu, 20)
+        want = relu_fista_oracle(matrix, s, mu, 0.01 * mu, 20)
         got = model.lfista_stage(s)[0]
         np.testing.assert_allclose(got, want, atol=1e-10)
 

@@ -39,7 +39,7 @@ class TestHybridLoss:
         rng = np.random.default_rng(0)
         eps = rng.uniform(0, 1, grid.n_cells) * (rng.uniform(size=grid.n_cells) < 0.2)
         s = synthesize_echoes(matrix, eps[None])[0]
-        value, grad = loss_one(eps, eps, s, matrix.entries, LossWeights())
+        value, grad = loss_one(eps, eps, s, matrix, LossWeights())
         assert value < 1e-10
         # away from the data term everything cancels; only L1 ties remain at 0
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
@@ -97,7 +97,7 @@ class TestHybridLoss:
         clean = synthesize_echoes(matrix, eps[None])
         noisy = noisy_echoes(clean, 10.0, seed=7)
         w = LossWeights(lambda1=0.0, lambda2=1.0)
-        value, _ = loss_one(eps, eps, noisy[0], matrix.entries, w)
+        value, _ = loss_one(eps, eps, noisy[0], matrix, w)
         injected = np.sum(np.abs(noisy - clean) ** 2)
         assert value == pytest.approx(injected, rel=1e-12)
 
@@ -297,6 +297,19 @@ class TestCheckpointIO:
         (tmp_path / "long.ckpt").write_bytes(path.read_bytes() + bytes(32))
         with pytest.raises(FormatError, match="32 bytes past the last array"):
             load_checkpoint(tmp_path / "long.ckpt")
+
+    def test_negative_offset_or_dimension_rejected(self, tmp_path):
+        _, _, ckpt = self._checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        data = path.read_bytes()
+        pos = data.index(b"\n[binary]\n")
+        line = data[data.rindex(b"\n", 0, pos) + 1 : pos]
+        name, shape, _ = line.split()
+        for bad in (b"%s %s -80" % (name, shape), b"%s -%s 0" % (name, shape)):
+            (tmp_path / "bad.ckpt").write_bytes(data[: pos - len(line)] + bad + data[pos:])
+            with pytest.raises(FormatError, match="negative"):
+                load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_unknown_version_rejected(self, tmp_path):
         _, _, ckpt = self._checkpoint()
