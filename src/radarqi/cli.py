@@ -121,7 +121,9 @@ def cmd_fista(args) -> int:
     echoes, meta = rio.load_echoes(args.echoes)
     op = _container_operator(cfg, meta)
     solver_cfg = FistaConfig(
-        lam=args.lam, max_iter=args.max_iter, record_objective=args.record_objective
+        lam=cfg.fista_lambda if args.lam is None else args.lam,
+        max_iter=cfg.fista_max_iter if args.max_iter is None else args.max_iter,
+        record_objective=args.record_objective,
     )
     result = fista_solve(op.matrix, echoes, solver_cfg, op)
     if args.record_objective:
@@ -253,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fista", help="classic solver on an echo container")
     _add_shared(p)
     p.add_argument("--echoes", required=True, help="input echo container")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.001)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--lambda", dest="lam", type=float, help="default: the config's fista_lambda")
+    p.add_argument("--max-iter", type=int, help="default: the config's fista_max_iter")
     p.add_argument(
         "--record-objective",
         action="store_true",
@@ -287,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--checkpoint-dir", help="directory with checkpoints (default: out dir)")
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--snr-db", type=float, nargs="*", default=None)
+    p.add_argument("--snr-db", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_sweep_snr)
 
     p = sub.add_parser("sweep-freq", help="center-frequency generalization sweep")
     _add_shared(p)
     p.add_argument("--checkpoint-dir", help="directory with checkpoints (default: out dir)")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--f0-ghz", type=float, nargs="*", default=None)
+    p.add_argument("--f0-ghz", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_sweep_freq)
 
     p = sub.add_parser("shapes", help="evaluate on unseen shape and letter targets")

@@ -188,7 +188,7 @@ class LFistaResNet:
     def forward_cached(self, echoes: np.ndarray, op: ImagingOperator | None = None):
         echoes = np.atleast_2d(np.asarray(echoes))
         op = op or self.op
-        coarse, block_caches = self._unrolled(echoes, op, collect=True)
+        coarse, block_caches = self._unrolled(echoes, op, collect=not self.frozen_blocks)
         out, head_caches = self._head(coarse, collect=True)
         cache = {"op": op, "blocks": block_caches, "head": head_caches}
         return out, cache
@@ -200,7 +200,9 @@ class LFistaResNet:
     def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
         """Exact gradients of sum(loss) for every trainable parameter.
 
-        ``dout`` is the upstream gradient w.r.t. the (n, P) output.
+        ``dout`` is the upstream gradient w.r.t. the (n, P) output. With
+        frozen blocks nothing before the head trains, so the pass stops at
+        the head and never runs back through the unrolled blocks.
         """
         grads = {}
         caches = cache["head"]
@@ -225,12 +227,13 @@ class LFistaResNet:
         d_img, grads["head_kernel"], grads["head_bias"] = conv2d_3x3_backward(
             c_head, d * m0
         )
+        if self.frozen_blocks:
+            return grads
         d_coarse = d_img.reshape(n, self.side * self.side)
 
         op = cache["op"]
         gram = op.gram
         mu, _ = self.block_scalars(op)
-        want_blocks = not self.frozen_blocks
         d_mu = np.zeros(self.n_blocks)
         d_theta = np.zeros(self.n_blocks)
         d_cur = d_coarse
@@ -238,16 +241,14 @@ class LFistaResNet:
         for i in range(self.n_blocks - 1, -1, -1):
             r, mask = cache["blocks"][i]
             dz = d_cur * mask
-            if want_blocks:
-                d_theta[i] = -dz.sum()
-                d_mu[i] = -np.sum(dz * r)
+            d_theta[i] = -dz.sum()
+            d_mu[i] = -np.sum(dz * r)
             dy = dz - mu[i] * (dz @ gram)
             g = self.momentum[i]
             d_cur = d_prev + (1.0 + g) * dy
             d_prev = -g * dy
-        if want_blocks:
-            grads["block_mu_raw"] = d_mu * sigmoid(self.params["block_mu_raw"])
-            grads["block_theta_raw"] = d_theta * sigmoid(self.params["block_theta_raw"])
+        grads["block_mu_raw"] = d_mu * sigmoid(self.params["block_mu_raw"])
+        grads["block_theta_raw"] = d_theta * sigmoid(self.params["block_theta_raw"])
         return grads
 
 

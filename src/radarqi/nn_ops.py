@@ -2,7 +2,8 @@
 
 Every forward that participates in training has a cached variant returning
 exactly what its backward needs. Images are batch-first channels-last,
-(n, h, w, c); kernels are (3, 3, c_in, c_out).
+(n, h, w, c); kernels are (3, 3, c_in, c_out). A conv's input gradient is a
+conv too: the output gradient correlated with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ def _patch_matrix(x: np.ndarray) -> np.ndarray:
     return np.moveaxis(windows, 3, 5).reshape(n * h * w, 9 * c)
 
 
-def conv2d_3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-padding 3x3 cross-correlation plus bias.
+def conv2d_3x3_cached(x, kernel, bias):
+    """Same-padding 3x3 cross-correlation plus bias, and the cache its
+    backward needs.
 
     Parameters
     ----------
@@ -56,11 +58,6 @@ def conv2d_3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarra
     kernel : (3, 3, c_in, c_out)
     bias : (c_out,)
     """
-    out, _ = conv2d_3x3_cached(x, kernel, bias)
-    return out
-
-
-def conv2d_3x3_cached(x, kernel, bias):
     n, h, w, c_in = x.shape
     if kernel.shape[:3] != (3, 3, c_in):
         raise ValueError(
@@ -76,7 +73,8 @@ def conv2d_3x3_cached(x, kernel, bias):
 
 
 def conv2d_3x3_backward(cache, dout: np.ndarray):
-    """Gradients of a cached conv: returns (dx, dkernel, dbias)."""
+    """Gradients of a cached conv: returns (dx, dkernel, dbias). dx correlates
+    dout with the kernel flipped in both spatial axes, channel axes swapped."""
     patches, kernel, (n, h, w, c_in) = cache
     c_out = kernel.shape[3]
     dout_flat = dout.reshape(n * h * w, c_out)
@@ -84,14 +82,9 @@ def conv2d_3x3_backward(cache, dout: np.ndarray):
     dbias = dout_flat.sum(axis=0)
     dkernel = (patches.T @ dout_flat).reshape(3, 3, c_in, c_out)
 
-    dpatches = (dout_flat @ kernel.reshape(9 * c_in, c_out).T).reshape(
-        n, h, w, 3, 3, c_in
-    )
-    dx_padded = np.zeros((n, h + 2, w + 2, c_in))
-    for i in range(3):
-        for j in range(3):
-            dx_padded[:, i : i + h, j : j + w, :] += dpatches[:, :, :, i, j, :]
-    return dx_padded[:, 1 : h + 1, 1 : w + 1, :], dkernel, dbias
+    flipped = kernel[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * c_out, c_in)
+    dx = _patch_matrix(dout) @ flipped
+    return dx.reshape(n, h, w, c_in), dkernel, dbias
 
 
 def dense_cached(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):

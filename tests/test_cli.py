@@ -210,6 +210,28 @@ def test_record_objective_keeps_the_reconstructions(two_runs):
         assert len(lines) == 1 + 201
 
 
+def test_fista_takes_solver_defaults_from_the_config(two_runs, tmp_path):
+    workdir, config, (run1, _) = two_runs
+    out = tmp_path / "fista"
+    cli_ok(["fista", "--config", str(config), "--out-dir", str(out),
+            "--echoes", str(run1 / "echoes_test.bin"), "--record-objective"], workdir)
+    lines = (out / "fista_objective_00000.csv").read_text().splitlines()
+    assert len(lines) == 1 + 201  # fista_max_iter = 200 in the config
+
+
+@pytest.mark.parametrize("command, flag", [("sweep-snr", "--snr-db"), ("sweep-freq", "--f0-ghz")])
+def test_empty_value_list_exits_2(two_runs, tmp_path, command, flag):
+    workdir, config, (run1, _) = two_runs
+    out = tmp_path / "out"
+    proc = run_cli(
+        [command, "--config", str(config), "--out-dir", str(out), "--checkpoint-dir", str(run1), flag],
+        workdir,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert flag in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

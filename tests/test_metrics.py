@@ -1,7 +1,25 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from radarqi.metrics import image_quality, mse, ssim
+
+
+def window_2d_ssim(a, b):
+    """SSIM of one pair with the full 11x11 Gaussian window (sigma 1.5)."""
+    coords = np.arange(11) - 5.0
+    g = np.exp(-(coords**2) / (2.0 * 1.5**2))
+    window = np.outer(g, g)
+    window /= window.sum()
+    filt = lambda img: ndimage.correlate(img, window, mode="reflect")
+    mu_a, mu_b = filt(a), filt(b)
+    var_a = filt(a * a) - mu_a**2
+    var_b = filt(b * b) - mu_b**2
+    cov = filt(a * b) - mu_a * mu_b
+    c1, c2 = 0.01**2, 0.03**2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
 
 
 def image_pairs(n, side, seed=0):
@@ -39,6 +57,14 @@ class TestStackedScores:
             mse(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)))
         with pytest.raises(ValueError):
             ssim(np.zeros((4, 4)), np.zeros((5, 4)))
+
+
+class TestSsimWindow:
+    @pytest.mark.parametrize("side", [3, 5, 8, 11, 28, 33])
+    def test_separable_passes_match_2d_window(self, side):
+        truth, recon = image_pairs(4, side, seed=side)
+        expected = [window_2d_ssim(t, r) for t, r in zip(truth, recon)]
+        np.testing.assert_allclose(ssim(truth, recon), expected, rtol=0, atol=1e-14)
 
 
 class TestImageQuality:

@@ -302,6 +302,25 @@ class TestFrozenBlocks:
         assert "block_mu_raw" not in grads
         assert "block_theta_raw" not in grads
 
+    def test_frozen_backward_stops_at_the_head(self):
+        frozen = small_model(seed=15, frozen=True)
+        full = small_model(seed=15, frozen=False)
+        full.block_scalars = frozen.block_scalars  # same forward, blocks still run back
+        rng = np.random.default_rng(15)
+        echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
+        upstream = rng.normal(size=(2, 16))
+        out, cache = frozen.forward_cached(echoes)
+        full_out, full_cache = full.forward_cached(echoes)
+        np.testing.assert_array_equal(out, full_out)
+        assert not cache["blocks"]
+
+        grads = frozen.backward(cache, upstream)
+        full_grads = full.backward(full_cache, upstream)
+        assert not [name for name in grads if name.startswith("block_")]
+        assert set(full_grads) - set(grads) == {"block_mu_raw", "block_theta_raw"}
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, full_grads[name], err_msg=name)
+
 
 class TestBuildModel:
     def test_kinds(self, table1_op):
