@@ -6,7 +6,7 @@ an unrolled-solver network with a convolutional refinement head that does
 the same job faster and better.
 """
 
-from .config import ExperimentConfig, apply_fast_profile, load_config, save_config
+from .config import ExperimentConfig, apply_fast_profile, load_config
 from .datasets import (
     read_idx_images,
     read_idx_labels,
@@ -34,7 +34,6 @@ from .geometry import (
     build_sweep,
     build_ula,
     distances,
-    mnist_to_rcs,
     rasters_to_maps,
 )
 from .harness import (

@@ -5,7 +5,9 @@ shapes. Exit codes: 0 success, 2 configuration error (including a missing
 checkpoint), 3 data/format error, 4 numerical divergence. Exit 3 also covers
 inputs made for another scene: an ``eval --echoes`` container whose sweep or
 array differs from the config or whose echo count differs from the test
-split, and a checkpoint trained on another scene.
+split, and a checkpoint trained on another scene. It covers corrupt inputs
+too: an echo container whose header values make no scene, and a checkpoint
+whose ``[config]`` section is not a valid config.
 """
 
 from __future__ import annotations
@@ -68,16 +70,21 @@ def _setup(args) -> tuple[ExperimentConfig, Path]:
     return cfg, out
 
 
-def _container_operator(cfg: ExperimentConfig, meta: dict):
-    """The operator of the sweep and array an echo container was made with;
-    the antenna spacing stays that of the configured frequency."""
-    scene = dataclasses.replace(
-        cfg,
-        n_antennas=meta["n_antennas"],
-        bandwidth_hz=meta["bandwidth_hz"],
-        n_freqs=meta["n_freqs"],
-    )
-    return build_operator(scene, f0_hz=meta["f0_hz"])
+def _load_container(cfg: ExperimentConfig, path):
+    """An echo container's echoes and the operator of the sweep and array
+    they were made with; the antenna spacing stays that of the configured
+    frequency. Header values that make no scene raise FormatError."""
+    echoes, meta = rio.load_echoes(path)
+    try:
+        scene = dataclasses.replace(
+            cfg,
+            n_antennas=meta["n_antennas"],
+            bandwidth_hz=meta["bandwidth_hz"],
+            n_freqs=meta["n_freqs"],
+        )
+        return echoes, build_operator(scene, f0_hz=meta["f0_hz"])
+    except (ConfigError, ValueError) as exc:
+        raise FormatError(f"echo container {path} makes no scene: {exc}") from exc
 
 
 def _check_samples(args) -> None:
@@ -118,8 +125,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fista(args) -> int:
     cfg, out = _setup(args)
-    echoes, meta = rio.load_echoes(args.echoes)
-    op = _container_operator(cfg, meta)
+    echoes, op = _load_container(cfg, args.echoes)
     solver_cfg = FistaConfig(
         lam=cfg.fista_lambda if args.lam is None else args.lam,
         max_iter=cfg.fista_max_iter if args.max_iter is None else args.max_iter,
@@ -151,8 +157,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg, out = _setup(args)
-    echoes, meta = rio.load_echoes(args.echoes)
-    op = _container_operator(cfg, meta)
+    echoes, op = _load_container(cfg, args.echoes)
     model = load_trained_model(cfg, op, None, args.checkpoint)
     maps = np.clip(predict_maps(model, echoes, op), 0.0, 1.0)
     side = cfg.side_cells

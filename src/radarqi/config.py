@@ -8,6 +8,7 @@ cells imaged by 4 antennas at 2 m standoff sweeping 50 frequencies over
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,12 +50,12 @@ class ExperimentConfig:
     loss_lambda2: float = 0.05
 
     def __post_init__(self):
-        if self.side_cells < 1 or self.cell_size_m <= 0:
-            raise ConfigError("side_cells must be >= 1 and cell_size_m > 0")
+        if self.side_cells < 1 or not 0 < self.cell_size_m < math.inf:
+            raise ConfigError("side_cells must be >= 1 and cell_size_m finite and > 0")
         if self.n_antennas < 1 or self.n_freqs < 1:
             raise ConfigError("n_antennas and n_freqs must be >= 1")
-        if self.f0_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ConfigError("f0_hz and bandwidth_hz must be > 0")
+        if not (0 < self.f0_hz < math.inf and 0 < self.bandwidth_hz < math.inf):
+            raise ConfigError("f0_hz and bandwidth_hz must be finite and > 0")
         if min(self.train_size, self.val_size, self.test_size) < 1:
             raise ConfigError("split sizes must be >= 1")
         if self.batch_size < 1 or self.epochs < 0:
@@ -131,10 +132,6 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     return config_from_text(path.read_text(encoding="utf-8"))
-
-
-def save_config(path, cfg: ExperimentConfig) -> None:
-    Path(path).write_text(cfg.to_text(), encoding="utf-8")
 
 
 def apply_fast_profile(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import FormatError
+from .io import to_gray_bytes
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -101,22 +102,6 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8)
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write (count, 28, 28) uint8 rasters in IDX format."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, len(images), 28, 28))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write (count,) uint8 labels in IDX format."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
-
-
 def split_dataset(
     rasters: np.ndarray,
     seed: int,
@@ -167,7 +152,7 @@ def synthetic_digit_rasters(count: int, seed: int) -> np.ndarray:
         if peak > 0:
             canvas *= float(rng.uniform(0.75, 1.0)) / peak
         canvas[canvas < 0.06] = 0.0  # hard-zero background, like real scans
-        out[i] = np.clip(np.floor(canvas * 255.0 + 0.5), 0, 255).astype(np.uint8)
+        out[i] = to_gray_bytes(canvas)
     return out
 
 
@@ -206,7 +191,7 @@ _LETTER_GLYPHS = {
 def _letter_raster(letter: str) -> np.ndarray:
     canvas = np.zeros((28, 28))
     canvas[3:24, 6:21] = _glyph_array(_LETTER_GLYPHS[letter])
-    return (canvas * 255).astype(np.uint8)
+    return to_gray_bytes(canvas)
 
 
 def shape_rasters() -> dict[str, np.ndarray]:
@@ -228,7 +213,7 @@ def shape_rasters() -> dict[str, np.ndarray]:
         "cross": cross,
         "ring": ring,
     }
-    out = {name: (arr * 255).astype(np.uint8) for name, arr in shapes.items()}
+    out = {name: to_gray_bytes(arr) for name, arr in shapes.items()}
     for letter in _LETTER_GLYPHS:
         out[f"letter_{letter}"] = _letter_raster(letter)
     return out

@@ -82,14 +82,12 @@ class ImagingOperator:
 class FistaConfig:
     """Solver settings.
 
-    ``mu`` of None means 1 / lmax, with lmax the exact largest eigenvalue of
-    A^H A. ``rel_tol`` of None disables early stopping (the solver then runs
+    ``rel_tol`` of None disables early stopping (the solver then runs
     exactly ``max_iter`` iterations).
     """
 
     lam: float = 0.001
     max_iter: int = 2000
-    mu: float | None = None
     record_objective: bool = False
     rel_tol: float | None = None
 
@@ -98,8 +96,6 @@ class FistaConfig:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError(f"mu must be > 0 when given, got {self.mu}")
 
 
 @dataclass
@@ -126,13 +122,13 @@ def energy(a, s: np.ndarray, eps: np.ndarray, lam: float):
 def _fista_loop(op: ImagingOperator, echoes: np.ndarray, cfg: FistaConfig):
     """FISTA on the (n, m) echoes, as the (P, n) columns b = Re(A^H s).
 
-    Starts from x_0 = x_1 = 0 with a fixed step (1 / lmax unless ``cfg.mu``
-    overrides) and shrinkage threshold lam * mu; with ``cfg.rel_tol`` it stops
+    Starts from x_0 = x_1 = 0 with the fixed step mu = 1 / lmax and
+    shrinkage threshold lam * mu; with ``cfg.rel_tol`` it stops
     once every column's relative change is below it. Returns the (n, P)
     estimates, the iterations run, and, if ``cfg.record_objective``, the
     (n, iterations + 1) objective of each echo at each iterate, else None.
     """
-    mu = cfg.mu if cfg.mu is not None else 1.0 / op.lmax
+    mu = 1.0 / op.lmax
     thresh = cfg.lam * mu
     weights = momentum_coeffs(cfg.max_iter)
     b = op.rhs(echoes).T

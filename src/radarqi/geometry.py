@@ -130,8 +130,8 @@ def distances(array: ArrayGeometry, grid: DoiGrid) -> np.ndarray:
 
 def build_sweep(f0: float, bandwidth: float, n_freqs: int) -> FrequencySweep:
     """Build the stepped sweep with exact step bandwidth / n_freqs."""
-    if f0 <= 0 or bandwidth <= 0 or n_freqs < 1:
-        raise ValueError("sweep requires f0 > 0, bandwidth > 0, n_freqs >= 1")
+    if not (0 < f0 < np.inf and 0 < bandwidth < np.inf) or n_freqs < 1:
+        raise ValueError("sweep requires finite f0 > 0 and bandwidth > 0, n_freqs >= 1")
     step = bandwidth / n_freqs
     freqs = f0 + step * np.arange(n_freqs)
     return FrequencySweep(f0, bandwidth, n_freqs, freqs)
@@ -173,20 +173,3 @@ def rasters_to_maps(rasters: np.ndarray, side_cells: int) -> np.ndarray:
     cells = rows @ rasters.astype(np.float64) @ cols.T
     return cells.reshape(n, side_cells * side_cells) / 255.0
 
-
-def mnist_to_rcs(image: np.ndarray) -> np.ndarray:
-    """Convert a 28x28 byte raster into a reflectivity vector in [0, 1].
-
-    Grayscale is kept: amplitude = byte / 255, row-major flattening with
-    p = row * 28 + col.
-    """
-    image = np.asarray(image)
-    if image.shape != (28, 28):
-        raise ValueError(f"expected a 28x28 raster, got shape {image.shape}")
-    return rasters_to_maps(image[None], 28)[0]
-
-
-def rcs_to_raster(values: np.ndarray, side_cells: int = 28) -> np.ndarray:
-    """Inverse of :func:`mnist_to_rcs` up to byte quantization."""
-    img = np.asarray(values, dtype=np.float64).reshape(side_cells, side_cells)
-    return np.clip(np.floor(img * 255.0 + 0.5), 0, 255).astype(np.uint8)

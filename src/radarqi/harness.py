@@ -23,14 +23,7 @@ from .forward import build_sensing_matrix, noisy_echoes, synthesize_echoes
 from .geometry import build_doi_grid, build_sweep, build_ula, rasters_to_maps
 from .metrics import image_quality
 from .models import build_model, predict_maps
-from .training import (
-    Checkpoint,
-    TrainingData,
-    fit,
-    load_checkpoint,
-    restore_model,
-    save_checkpoint,
-)
+from .training import TrainingData, fit, load_checkpoint, restore_model, save_checkpoint
 
 METHOD_ORDER = ("fista", "fista_resnet", "lfista_resnet", "dnn")
 NETWORK_KINDS = ("fista_resnet", "lfista_resnet", "dnn")
@@ -47,14 +40,20 @@ F0_GRID_GHZ = (28.0, 29.0, 30.0, 31.0, 32.0)
 
 @dataclass
 class MetricsReport:
-    """Per-sample and mean quality metrics for one method."""
+    """Per-sample quality metrics for one method, and their means."""
 
     method: str
     per_sample_mse: np.ndarray
     per_sample_ssim: np.ndarray
-    mean_mse: float
-    mean_ssim: float
     runtime_per_sample: float
+
+    @property
+    def mean_mse(self) -> float:
+        return float(np.mean(self.per_sample_mse))
+
+    @property
+    def mean_ssim(self) -> float:
+        return float(np.mean(self.per_sample_ssim))
 
 
 @dataclass
@@ -197,9 +196,7 @@ def run_methods(
         if timed:
             elapsed = (time.perf_counter() - start) / len(echoes)
         mses, ssims = image_quality(truth, recon, cfg.side_cells)
-        reports[method] = MetricsReport(
-            method, mses, ssims, float(np.mean(mses)), float(np.mean(ssims)), elapsed
-        )
+        reports[method] = MetricsReport(method, mses, ssims, elapsed)
         recons[method] = recon
     return reports, recons
 
@@ -233,11 +230,7 @@ def compare_methods(
     out_dir.mkdir(parents=True, exist_ok=True)
     reports, recons = run_methods(cfg, op, models, test_maps, test_echoes, timed=True)
 
-    summary_rows = [
-        (m, len(test_maps), reports[m].mean_mse, reports[m].mean_ssim)
-        for m in METHOD_ORDER
-        if m in reports
-    ]
+    summary_rows = [(m, len(test_maps), rep.mean_mse, rep.mean_ssim) for m, rep in reports.items()]
     rio.write_csv(
         out_dir / "comparison_summary.csv",
         ["method", "n_samples", "mean_mse", "mean_ssim"],
@@ -245,10 +238,7 @@ def compare_methods(
         comments=[REFERENCE_FULL_SCALE],
     )
     sample_rows = []
-    for m in METHOD_ORDER:
-        if m not in reports:
-            continue
-        rep = reports[m]
+    for m, rep in reports.items():
         for i in range(len(test_maps)):
             sample_rows.append((m, i, rep.per_sample_mse[i], rep.per_sample_ssim[i]))
     rio.write_csv(
@@ -288,9 +278,7 @@ def sweep_snr(
         echoes = noisy_echoes(test_echoes, snr, seed + k)
         recon = predict_maps(model, echoes, op)
         mses, ssims = image_quality(test_maps, recon, cfg.side_cells)
-        rep = MetricsReport(
-            model.kind, mses, ssims, float(np.mean(mses)), float(np.mean(ssims)), float("nan")
-        )
+        rep = MetricsReport(model.kind, mses, ssims, float("nan"))
         results.append((snr, rep))
         rows.append((("none" if snr is None else snr), rep.mean_mse, rep.mean_ssim))
     rio.write_csv(
@@ -329,9 +317,8 @@ def sweep_center_frequency(
         echoes = synthesize_echoes(op_f.matrix, test_maps)
         reports, _ = run_methods(cfg, op_f, models_by_kind, test_maps, echoes)
         all_reports[f0_ghz] = reports
-        for m in METHOD_ORDER:
-            if m in reports:
-                rows.append((f0_ghz, m, reports[m].mean_mse, reports[m].mean_ssim))
+        for m, rep in reports.items():
+            rows.append((f0_ghz, m, rep.mean_mse, rep.mean_ssim))
         if "lfista_resnet" in reports:
             curve.append((f0_ghz, reports["lfista_resnet"].mean_ssim))
     rio.write_csv(
@@ -363,11 +350,9 @@ def unseen_shape_eval(
     echoes = synthesize_echoes(op.matrix, maps)
     reports, recons = run_methods(cfg, op, models, maps, echoes)
     rows = []
-    for m in METHOD_ORDER:
-        if m not in reports:
-            continue
+    for m, rep in reports.items():
         for i, name in enumerate(names):
-            rows.append((m, name, reports[m].per_sample_mse[i], reports[m].per_sample_ssim[i]))
+            rows.append((m, name, rep.per_sample_mse[i], rep.per_sample_ssim[i]))
     rio.write_csv(out_dir / "shapes.csv", ["method", "shape", "mse", "ssim"], rows)
     _write_grids(out_dir, "shapes_grid", maps, recons, cfg.side_cells, n_samples=len(names))
     return reports

@@ -1,4 +1,12 @@
-"""On-disk artifact formats: echo containers, PGM images, CSV tables.
+"""On-disk artifact formats: the container framing shared by echo files and
+checkpoints, PGM images, CSV tables.
+
+A container is a ``<magic> <version>`` line, UTF-8 header lines, a
+``[binary]`` line, then a little-endian binary payload.
+:func:`write_container` and :func:`read_container` own that framing;
+:func:`header_fields` reads ``key = value`` header lines. Echo containers
+(here) and checkpoints (:mod:`radarqi.training`) lay out their own header
+and payload inside it.
 
 Everything written here is byte-deterministic given identical inputs:
 floats are serialized with round-tripping ``repr``, arrays as little-endian
@@ -23,7 +31,55 @@ def fmt_float(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Echo container: textual header + interleaved re/im binary64
+# Container framing
+# ---------------------------------------------------------------------------
+
+
+def write_container(path, magic: str, version: int, header_lines, blobs) -> None:
+    """Write ``<magic> <version>``, the header lines, ``[binary]``, then the
+    payload blobs back to back."""
+    text = "".join(f"{line}\n" for line in [f"{magic} {version}", *header_lines, "[binary]"])
+    with open(path, "wb") as f:
+        f.write(text.encode("utf-8"))
+        for blob in blobs:
+            f.write(blob)
+
+
+def read_container(path, magic: str, version: int, what: str) -> tuple[list[str], bytes]:
+    """The header lines after the magic line, and the payload, of a container.
+
+    Raises :class:`FormatError` naming ``what`` (e.g. "echo container") when
+    the separator or the magic is missing or the version is not ``version``.
+    """
+    raw = Path(path).read_bytes()
+    sep = b"\n[binary]\n"
+    pos = raw.find(sep)
+    if pos < 0:
+        raise FormatError(f"{path}: missing [binary] separator")
+    try:
+        lines = raw[:pos].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {what} header is not UTF-8 ({exc})") from exc
+    if not lines or not lines[0].startswith(magic):
+        raise FormatError(f"{path}: not a radarqi {what}")
+    found = lines[0][len(magic) :].strip()
+    if found != str(version):
+        raise FormatError(f"{path}: unsupported {what} version {found!r}")
+    return lines[1:], raw[pos + len(sep) :]
+
+
+def header_fields(lines) -> dict[str, str]:
+    """Stripped ``key = value`` pairs of header lines; blank lines are skipped."""
+    fields = {}
+    for line in lines:
+        if line.strip():
+            key, _, value = line.partition("=")
+            fields[key.strip()] = value.strip()
+    return fields
+
+
+# ---------------------------------------------------------------------------
+# Echo container: ``key = value`` header + interleaved re/im binary64
 # ---------------------------------------------------------------------------
 
 
@@ -40,42 +96,23 @@ def save_echoes(
     """Write (count, length) complex echoes with their synthesis metadata."""
     echoes = np.atleast_2d(np.asarray(echoes, dtype=np.complex128))
     count, length = echoes.shape
-    header = (
-        f"{ECHO_MAGIC} {ECHO_VERSION}\n"
-        f"count = {count}\n"
-        f"length = {length}\n"
-        f"f0_hz = {fmt_float(f0_hz)}\n"
-        f"bandwidth_hz = {fmt_float(bandwidth_hz)}\n"
-        f"n_freqs = {n_freqs}\n"
-        f"n_antennas = {n_antennas}\n"
-        f"snr_db = {'none' if snr_db is None else fmt_float(snr_db)}\n"
-        f"seed = {seed}\n"
-        "[binary]\n"
-    )
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8"))
-        f.write(echoes.astype("<c16").tobytes())
+    header = [
+        f"count = {count}",
+        f"length = {length}",
+        f"f0_hz = {fmt_float(f0_hz)}",
+        f"bandwidth_hz = {fmt_float(bandwidth_hz)}",
+        f"n_freqs = {n_freqs}",
+        f"n_antennas = {n_antennas}",
+        f"snr_db = {'none' if snr_db is None else fmt_float(snr_db)}",
+        f"seed = {seed}",
+    ]
+    write_container(path, ECHO_MAGIC, ECHO_VERSION, header, [echoes.astype("<c16").tobytes()])
 
 
 def load_echoes(path) -> tuple[np.ndarray, dict]:
     """Read an echo container; returns (echoes, header-metadata dict)."""
-    raw = Path(path).read_bytes()
-    sep = b"[binary]\n"
-    pos = raw.find(sep)
-    if pos < 0:
-        raise FormatError(f"{path}: missing [binary] separator")
-    lines = raw[:pos].decode("utf-8").splitlines()
-    if not lines or not lines[0].startswith(ECHO_MAGIC):
-        raise FormatError(f"{path}: not an echo container")
-    version = lines[0][len(ECHO_MAGIC) :].strip()
-    if version != str(ECHO_VERSION):
-        raise FormatError(f"{path}: unsupported echo container version {version!r}")
-    meta: dict = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
+    lines, payload = read_container(path, ECHO_MAGIC, ECHO_VERSION, "echo container")
+    meta: dict = header_fields(lines)
     try:
         count = int(meta["count"])
         length = int(meta["length"])
@@ -92,13 +129,9 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
             f"{path}: echo length {length} is not n_freqs * n_antennas = "
             f"{meta['n_freqs']} * {meta['n_antennas']}"
         )
-    payload = raw[pos + len(sep) :]
     expected = count * length * 2 * 8
     if len(payload) != expected:
-        raise FormatError(
-            f"{path}: binary payload is {len(payload)} bytes at offset "
-            f"{pos + len(sep)}, expected {expected}"
-        )
+        raise FormatError(f"{path}: binary payload is {len(payload)} bytes, expected {expected}")
     echoes = np.frombuffer(payload, dtype="<c16").reshape(count, length)
     meta["count"] = count
     meta["length"] = length

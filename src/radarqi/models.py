@@ -99,12 +99,8 @@ class LFistaResNet:
         self.params["tail_kernel"] = he_normal(rng, (3, 3, c, 1), 9 * c)
         self.params["tail_bias"] = np.zeros(1)
 
-        self.param_order = list(self.params)
-        block_names = ("block_mu_raw", "block_theta_raw")
-        if frozen_blocks:
-            self.trainable_names = [n for n in self.param_order if n not in block_names]
-        else:
-            self.trainable_names = list(self.param_order)
+        block_names = ("block_mu_raw", "block_theta_raw") if frozen_blocks else ()
+        self.trainable_names = [n for n in self.params if n not in block_names]
 
     @property
     def kind(self) -> str:
@@ -271,7 +267,6 @@ class EchoDnn:
             "dense2_weight": he_normal(rng, (hidden, n_cells), hidden),
             "dense2_bias": np.zeros(n_cells),
         }
-        self.param_order = list(self.params)
         self.trainable_names = list(self.params)
 
     kind = "dnn"

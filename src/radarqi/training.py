@@ -1,6 +1,11 @@
 """Training: hybrid loss, Adam with a reduce-on-plateau schedule, fit loop,
 and the versioned checkpoint file format.
 
+A checkpoint holds what restoring a model reads back, in the container
+framing of :mod:`radarqi.io`: the model kind, the epoch kept and its
+validation loss, the training config, and the parameters in model order.
+Optimizer state stays in memory; nothing resumes a fit.
+
 The loss on one sample combines image fidelity, sparsity of the error, and
 physics consistency of the prediction with the measured echo:
 
@@ -15,19 +20,18 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, config_from_text
-from .errors import DivergedError, FormatError
+from .errors import ConfigError, DivergedError, FormatError
 from .fista import ImagingOperator
-from .io import fmt_float, write_csv
+from .io import fmt_float, header_fields, read_container, write_container, write_csv
 from .metrics import image_quality
 from .models import predict_maps
 
 CHECKPOINT_MAGIC = "radarqi-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -133,95 +137,65 @@ class PlateauSchedule:
 
 @dataclass
 class Checkpoint:
+    """A trained network as saved to disk: its kind, the config it was
+    trained with, its parameters in the model's order, and the epoch and
+    validation loss of the best epoch they come from.
+
+    Optimizer state is not kept: nothing resumes a fit, and restoring a
+    model needs only the parameters.
+    """
+
     kind: str
-    config_text: str
+    config: ExperimentConfig
     params: dict
-    param_order: list
-    adam_m: dict
-    adam_v: dict
-    adam_step_count: int
     epoch: int
     best_val_loss: float
 
-    @property
-    def config(self) -> ExperimentConfig:
-        return config_from_text(self.config_text)
-
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write the checkpoint: text manifest, config snapshot, array table,
-    then little-endian binary64 payload."""
-    arrays: list[tuple[str, np.ndarray]] = []
-    for name in ckpt.param_order:
-        arrays.append((f"param.{name}", ckpt.params[name]))
-    for name in sorted(ckpt.adam_m):
-        arrays.append((f"adam_m.{name}", ckpt.adam_m[name]))
-    for name in sorted(ckpt.adam_v):
-        arrays.append((f"adam_v.{name}", ckpt.adam_v[name]))
-
+    """Write the checkpoint container: metadata, the ``[config]`` section,
+    the ``[arrays]`` manifest of ``param.<name> <shape> <offset>`` lines,
+    then each parameter as little-endian binary64 in model order."""
     lines = [
-        f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         f"kind = {ckpt.kind}",
         f"epoch = {ckpt.epoch}",
         f"best_val_loss = {fmt_float(ckpt.best_val_loss)}",
-        f"adam_step = {ckpt.adam_step_count}",
         "[config]",
-        ckpt.config_text.rstrip("\n"),
+        *ckpt.config.to_text().splitlines(),
         "[arrays]",
     ]
     offset = 0
     blobs = []
-    for name, arr in arrays:
+    for name, arr in ckpt.params.items():
         shape = ",".join(str(d) for d in arr.shape) or "1"
-        lines.append(f"{name} {shape} {offset}")
-        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    lines.append("[binary]")
-    with open(path, "wb") as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
-        for blob in blobs:
-            f.write(blob)
+        lines.append(f"param.{name} {shape} {offset}")
+        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        offset += len(blobs[-1])
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, lines, blobs)
+
+
+def _section(lines: list, name: str, start: int, path) -> int:
+    try:
+        return lines.index(name, start)
+    except ValueError:
+        raise FormatError(f"{path}: missing {name} section") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    sep = b"\n[binary]\n"
-    pos = raw.find(sep)
-    if pos < 0:
-        raise FormatError(f"{path}: missing [binary] separator")
-    header = raw[:pos].decode("utf-8").splitlines()
-    payload = raw[pos + len(sep) :]
-
-    if not header or not header[0].startswith(CHECKPOINT_MAGIC):
-        raise FormatError(f"{path}: not a checkpoint file")
-    version = header[0][len(CHECKPOINT_MAGIC) :].strip()
-    if version != str(CHECKPOINT_VERSION):
-        raise FormatError(f"{path}: unsupported checkpoint version {version!r}")
-
-    meta = {}
-    idx = 1
-    while idx < len(header) and header[idx] != "[config]":
-        key, _, value = header[idx].partition("=")
-        meta[key.strip()] = value.strip()
-        idx += 1
-    if idx >= len(header):
-        raise FormatError(f"{path}: missing [config] section")
-    idx += 1
-    config_lines = []
-    while idx < len(header) and header[idx] != "[arrays]":
-        config_lines.append(header[idx])
-        idx += 1
-    if idx >= len(header):
-        raise FormatError(f"{path}: missing [arrays] section")
-    idx += 1
+    """Read a checkpoint; every inconsistency, including a config that
+    :func:`~radarqi.config.config_from_text` rejects, raises FormatError."""
+    lines, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    config_at = _section(lines, "[config]", 0, path)
+    arrays_at = _section(lines, "[arrays]", config_at, path)
+    meta = header_fields(lines[:config_at])
+    try:
+        config = config_from_text("\n".join(lines[config_at + 1 : arrays_at]))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: bad checkpoint config ({exc})") from exc
 
     params: dict = {}
-    param_order: list = []
-    adam_m: dict = {}
-    adam_v: dict = {}
     used = 0
-    for line in header[idx:]:
+    for line in lines[arrays_at + 1 :]:
         try:
             name, shape_text, offset_text = line.split()
             shape = tuple(int(d) for d in shape_text.split(","))
@@ -230,25 +204,17 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: bad array manifest line {line!r}") from exc
         if offset < 0 or min(shape) < 0:
             raise FormatError(f"{path}: negative offset or dimension in manifest line {line!r}")
-        count = int(np.prod(shape))
-        end = offset + count * 8
+        group, _, base = name.partition(".")
+        if group != "param":
+            raise FormatError(f"{path}: unknown array group {group!r}")
+        end = offset + int(np.prod(shape)) * 8
         if end > len(payload):
             raise FormatError(
                 f"{path}: array {name} needs bytes up to {end}, payload has "
                 f"{len(payload)}"
             )
         used = max(used, end)
-        arr = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
-        group, _, base = name.partition(".")
-        if group == "param":
-            params[base] = arr
-            param_order.append(base)
-        elif group == "adam_m":
-            adam_m[base] = arr
-        elif group == "adam_v":
-            adam_v[base] = arr
-        else:
-            raise FormatError(f"{path}: unknown array group {group!r}")
+        params[base] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
     if len(payload) > used:
         raise FormatError(
             f"{path}: {len(payload) - used} bytes past the last array, which ends at "
@@ -258,12 +224,8 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         return Checkpoint(
             kind=meta["kind"],
-            config_text="\n".join(config_lines) + "\n",
+            config=config,
             params=params,
-            param_order=param_order,
-            adam_m=adam_m,
-            adam_v=adam_v,
-            adam_step_count=int(meta["adam_step"]),
             epoch=int(meta["epoch"]),
             best_val_loss=float(meta["best_val_loss"]),
         )
@@ -365,18 +327,12 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
         rows.append((epoch, lr_used, train_loss, val_loss, val_mse, val_ssim))
         if val_loss < best_loss:
             best_loss = val_loss
-            best = (
-                epoch,
-                copy.deepcopy(model.params),
-                copy.deepcopy(adam.m),
-                copy.deepcopy(adam.v),
-                adam.step,
-            )
+            best = (epoch, copy.deepcopy(model.params))
         schedule.update(val_loss)
 
     if best is None:  # epochs == 0: checkpoint the initialization
         best_loss = val_loss
-        best = (0, copy.deepcopy(model.params), copy.deepcopy(adam.m), copy.deepcopy(adam.v), adam.step)
+        best = (0, copy.deepcopy(model.params))
 
     if log_path is not None:
         write_csv(
@@ -385,15 +341,11 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
             rows,
         )
 
-    epoch_at_best, params, m, v, step = best
+    epoch_at_best, params = best
     return Checkpoint(
         kind=model.kind,
-        config_text=cfg.to_text(),
+        config=cfg,
         params=params,
-        param_order=list(model.param_order),
-        adam_m=m,
-        adam_v=v,
-        adam_step_count=step,
         epoch=epoch_at_best,
         best_val_loss=float(best_loss),
     )

@@ -168,6 +168,51 @@ def test_non_finite_echo_exits_4(two_runs):
     assert "iteration" in proc.stderr
 
 
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"f0_hz": float("nan")}, {"bandwidth_hz": 0.0}, {"n_freqs": 0}],
+    ids=["nan_f0", "zero_bandwidth", "no_freqs"],
+)
+def test_container_header_without_a_scene_exits_3(two_runs, tmp_path, changes):
+    workdir, config, (run1, _) = two_runs
+    echoes, meta = rio.load_echoes(run1 / "echoes_test.bin")
+    keys = ("f0_hz", "bandwidth_hz", "n_freqs", "n_antennas", "snr_db", "seed")
+    header = {**{k: meta[k] for k in keys}, **changes}
+    path = tmp_path / "bad_header.bin"
+    rio.save_echoes(path, echoes[:, : header["n_freqs"] * header["n_antennas"]], **header)
+    proc = run_cli(
+        ["fista", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+         "--echoes", str(path), "--max-iter", "5"],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"echo container {path} makes no scene" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"\nres_blocks = 2\n", b"\nres_blocks = two\n"),
+        (b"\n[config]\n", b"\n[config]\nantenna_count = 4\n"),
+        (b"\ntrain_size = 24\n", b"\ntrain_size = 0\n"),
+    ],
+    ids=["bad_value", "unknown_key", "empty_split"],
+)
+def test_checkpoint_with_a_bad_config_exits_3(two_runs, tmp_path, old, new):
+    workdir, config, (run1, _) = two_runs
+    data = (run1 / "checkpoint_lfista_resnet.ckpt").read_bytes()
+    assert old in data
+    path = tmp_path / "bad_config.ckpt"
+    path.write_bytes(data.replace(old, new, 1))
+    proc = run_cli(
+        ["infer", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+         "--echoes", str(run1 / "echoes_test.bin"), "--checkpoint", str(path)],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"{path}: bad checkpoint config" in proc.stderr
+
 def test_container_from_another_sweep_exits_3(two_runs):
     workdir, config, (run1, _) = two_runs
     other = workdir / "f32"

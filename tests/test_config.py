@@ -49,3 +49,10 @@ def test_value_a_config_file_cannot_hold_rejected():
     for mnist_dir in ("a\nb", "a\rb", " a", "a\t"):
         with pytest.raises(ConfigError, match="mnist_dir"):
             ExperimentConfig(mnist_dir=mnist_dir)
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE_FLOATS))
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_length_or_frequency_rejected(name, value):
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig(**{name: value})

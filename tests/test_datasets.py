@@ -4,15 +4,27 @@ import numpy as np
 import pytest
 
 from radarqi.datasets import (
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
     read_idx_images,
     read_idx_labels,
     shape_rasters,
     split_dataset,
     synthetic_digit_rasters,
-    write_idx_images,
-    write_idx_labels,
 )
 from radarqi.errors import FormatError
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write (count, 28, 28) uint8 rasters in IDX format."""
+    images = np.ascontiguousarray(images, dtype=np.uint8)
+    path.write_bytes(struct.pack(">iiii", IDX_IMAGE_MAGIC, len(images), 28, 28) + images.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    """Write (count,) uint8 labels in IDX format."""
+    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    path.write_bytes(struct.pack(">ii", IDX_LABEL_MAGIC, len(labels)) + labels.tobytes())
 
 
 class TestIdxFormat:

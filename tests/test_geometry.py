@@ -8,10 +8,14 @@ from radarqi.geometry import (
     build_sweep,
     build_ula,
     distances,
-    mnist_to_rcs,
     rasters_to_maps,
-    rcs_to_raster,
 )
+from radarqi.io import to_gray_bytes
+
+
+def one_map(raster):
+    """The native-grid map of one 28x28 byte raster."""
+    return rasters_to_maps(raster[None], 28)[0]
 
 
 class TestDoiGrid:
@@ -130,31 +134,33 @@ class TestDistances:
 
 
 class TestMnistToRcs:
+    """One 28x28 byte raster on the native 28x28 grid, and back to bytes."""
+
     def test_zero_raster(self):
-        assert np.all(mnist_to_rcs(np.zeros((28, 28), dtype=np.uint8)) == 0.0)
+        assert np.all(one_map(np.zeros((28, 28), dtype=np.uint8)) == 0.0)
 
     def test_single_corner_byte(self):
         img = np.zeros((28, 28), dtype=np.uint8)
         img[0, 0] = 255
-        eps = mnist_to_rcs(img)
+        eps = one_map(img)
         assert eps[0] == 1.0
         assert np.count_nonzero(eps) == 1
 
     def test_row_major_index(self):
         img = np.zeros((28, 28), dtype=np.uint8)
         img[2, 3] = 128
-        eps = mnist_to_rcs(img)
+        eps = one_map(img)
         assert eps[2 * 28 + 3] == pytest.approx(128 / 255)
         assert np.count_nonzero(eps) == 1
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            mnist_to_rcs(np.zeros((27, 28), dtype=np.uint8))
+            rasters_to_maps(np.zeros((27, 28), dtype=np.uint8), 28)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(7)
         img = rng.integers(0, 256, size=(28, 28)).astype(np.uint8)
-        np.testing.assert_array_equal(rcs_to_raster(mnist_to_rcs(img)), img)
+        np.testing.assert_array_equal(to_gray_bytes(one_map(img).reshape(28, 28)), img)
 
 
 class TestRastersToMaps:
@@ -202,3 +208,8 @@ class TestSweep:
     def test_invalid(self):
         with pytest.raises(ValueError):
             build_sweep(0.0, 5e9, 50)
+
+    @pytest.mark.parametrize("f0, bandwidth", [(np.nan, 5e9), (np.inf, 5e9), (30e9, np.nan)])
+    def test_non_finite_rejected(self, f0, bandwidth):
+        with pytest.raises(ValueError, match="finite"):
+            build_sweep(f0, bandwidth, 50)

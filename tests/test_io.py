@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from radarqi.config import ExperimentConfig
 from radarqi.errors import FormatError
-from radarqi.io import load_echoes, save_echoes
+from radarqi.io import ECHO_MAGIC, ECHO_VERSION, load_echoes, save_echoes
+from radarqi.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    Checkpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def write_container(path, n_freqs=3, n_antennas=2, count=4):
@@ -51,6 +59,43 @@ class TestEchoContainer:
         (tmp_path / "bad.bin").write_bytes(data)
         with pytest.raises(FormatError, match="length"):
             load_echoes(tmp_path / "bad.bin")
+
+
+def write_checkpoint(path):
+    params = {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(1)}
+    save_checkpoint(path, Checkpoint("dnn", ExperimentConfig(), params, 1, 0.5))
+
+
+@pytest.mark.parametrize(
+    "write, load, magic, version",
+    [
+        (write_container, load_echoes, ECHO_MAGIC, ECHO_VERSION),
+        (write_checkpoint, load_checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION),
+    ],
+    ids=["echoes", "checkpoint"],
+)
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("separator", "missing \\[binary\\] separator"),
+        ("magic", "not a radarqi"),
+        ("version", "unsupported .* version"),
+        ("encoding", "not UTF-8"),
+    ],
+)
+def test_damaged_framing_rejected(tmp_path, write, load, magic, version, damage, message):
+    path = tmp_path / "good"
+    write(path)
+    head = f"{magic} {version}".encode()
+    old, new = {
+        "separator": (b"\n[binary]\n", b"\n[binery]\n"),
+        "magic": (head, b"radarqi-other 1"),
+        "version": (head, head + b"0"),
+        "encoding": (head, head + b"\n\xff"),
+    }[damage]
+    (tmp_path / "bad").write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(FormatError, match=message):
+        load(tmp_path / "bad")
 
 
 def same_bits(a: float, b: float) -> bool:

@@ -1,7 +1,11 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import finite_difference_grad, relative_grad_error
 from radarqi.config import ExperimentConfig
@@ -11,6 +15,7 @@ from radarqi.forward import noisy_echoes, synthesize_echoes
 from radarqi.harness import build_scene, load_trained_model, prepare_dataset, unseen_shape_eval
 from radarqi.models import EchoDnn, LFistaResNet, build_model
 from radarqi.training import (
+    CHECKPOINT_VERSION,
     AdamState,
     Checkpoint,
     LossWeights,
@@ -271,11 +276,9 @@ class TestCheckpointIO:
         assert loaded.kind == ckpt.kind
         assert loaded.epoch == ckpt.epoch
         assert loaded.best_val_loss == ckpt.best_val_loss
-        assert loaded.param_order == ckpt.param_order
+        assert list(loaded.params) == list(ckpt.params)
         for name in ckpt.params:
             np.testing.assert_array_equal(loaded.params[name], ckpt.params[name])
-        for name in ckpt.adam_m:
-            np.testing.assert_array_equal(loaded.adam_m[name], ckpt.adam_m[name])
         # saving the loaded checkpoint reproduces identical bytes
         path2 = tmp_path / "model2.ckpt"
         save_checkpoint(path2, loaded)
@@ -315,10 +318,23 @@ class TestCheckpointIO:
         _, _, ckpt = self._checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
-        data = path.read_bytes().replace(b"radarqi-checkpoint 1", b"radarqi-checkpoint 9", 1)
+        current = f"radarqi-checkpoint {CHECKPOINT_VERSION}".encode()
+        data = path.read_bytes().replace(current, b"radarqi-checkpoint 9", 1)
         (tmp_path / "v9.ckpt").write_bytes(data)
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(tmp_path / "v9.ckpt")
+
+    def test_version_1_rejected(self, tmp_path):
+        # the version-1 layout: an adam_step field and Adam moment arrays
+        header = (
+            "radarqi-checkpoint 1\nkind = dnn\nepoch = 1\nbest_val_loss = 0.5\nadam_step = 3\n"
+            f"[config]\n{ExperimentConfig().to_text()}[arrays]\n"
+            "param.w 2 0\nadam_m.w 2 16\nadam_v.w 2 32\n[binary]\n"
+        )
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(header.encode() + np.arange(6.0).astype("<f8").tobytes())
+        with pytest.raises(FormatError, match="unsupported checkpoint version '1'"):
+            load_checkpoint(path)
 
     def test_shape_mismatch_on_restore(self, tmp_path):
         _, _, ckpt = self._checkpoint()
@@ -358,6 +374,41 @@ class TestCheckpointIO:
         restore_model(fresh, ckpt)
         for name in ckpt.params:
             np.testing.assert_array_equal(fresh.params[name], ckpt.params[name])
+
+
+@st.composite
+def checkpoints(draw):
+    """Checkpoints whose parameters hold any float64 bit pattern."""
+    names = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=12)
+    params = {}
+    for name in draw(st.lists(names, min_size=1, max_size=5, unique=True)):
+        shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4))
+        bits = arrays(np.uint64, shape).map(lambda a: a.view(np.float64))
+        params[name] = draw(arrays(np.float64, shape) | bits)
+    return Checkpoint(
+        kind=draw(st.sampled_from(("fista_resnet", "lfista_resnet", "dnn"))),
+        config=ExperimentConfig(seed=draw(st.integers(-(2**63), 2**63 - 1))),
+        params=params,
+        epoch=draw(st.integers(0, 2**63 - 1)),
+        best_val_loss=draw(st.floats(allow_nan=False)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(ckpt=checkpoints())
+def test_checkpoint_round_trip_keeps_every_bit(tmp_path_factory, ckpt):
+    path = tmp_path_factory.mktemp("hypothesis") / "model.ckpt"
+    save_checkpoint(path, ckpt)
+    loaded = load_checkpoint(path)
+    assert (loaded.kind, loaded.config, loaded.epoch) == (ckpt.kind, ckpt.config, ckpt.epoch)
+    assert struct.pack("<d", loaded.best_val_loss) == struct.pack("<d", ckpt.best_val_loss)
+    assert list(loaded.params) == list(ckpt.params)
+    for name, arr in ckpt.params.items():
+        assert loaded.params[name].shape == arr.shape
+        np.testing.assert_array_equal(loaded.params[name].view(np.uint64), arr.view(np.uint64))
+    again = path.with_name("again.ckpt")
+    save_checkpoint(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
 
 
 class TestLoadTrainedModel:
