@@ -9,7 +9,6 @@ the same job faster and better.
 from .config import ExperimentConfig, apply_fast_profile, load_config
 from .datasets import (
     read_idx_images,
-    read_idx_labels,
     shape_rasters,
     split_dataset,
     synthetic_digit_rasters,
@@ -27,9 +26,6 @@ from .fista import (
 from .forward import build_sensing_matrix, noisy_echoes, synthesize_echoes
 from .geometry import (
     SPEED_OF_LIGHT,
-    ArrayGeometry,
-    DoiGrid,
-    FrequencySweep,
     build_doi_grid,
     build_sweep,
     build_ula,

@@ -46,8 +46,14 @@ from .models import predict_maps
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a key = value config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out-dir", default="out", help="artifact output directory")
+
+
+def _add_dataset(p: argparse.ArgumentParser) -> None:
+    """The shared options plus those of the subcommands that build the
+    digit dataset; fista, infer and shapes read none of these."""
+    _add_shared(p)
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument(
         "--fast",
         action="store_true",
@@ -59,11 +65,11 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
 def _setup(args) -> tuple[ExperimentConfig, Path]:
     """The run's config, with command-line overrides, and its output directory."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "mnist_dir", None):
         cfg = dataclasses.replace(cfg, mnist_dir=args.mnist_dir)
-    if args.fast:
+    if getattr(args, "fast", False):
         cfg = apply_fast_profile(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -104,17 +110,17 @@ def _load_models(cfg, op, args, kinds=NETWORK_KINDS):
 
 def cmd_synth(args) -> int:
     cfg, out = _setup(args)
-    f0_hz = None if args.f0_ghz is None else args.f0_ghz * 1e9
-    _, _, sweep, matrix = build_scene(cfg, f0_hz=f0_hz)
+    f0_hz = cfg.f0_hz if args.f0_ghz is None else args.f0_ghz * 1e9
+    *_, matrix = build_scene(cfg, f0_hz=f0_hz)
     bundle = prepare_dataset(cfg, matrix)
     echoes = noisy_echoes(getattr(bundle, f"{args.split}_echoes"), args.snr_db, cfg.seed)
     path = out / f"echoes_{args.split}.bin"
     rio.save_echoes(
         path,
         echoes,
-        f0_hz=sweep.f0,
-        bandwidth_hz=sweep.bandwidth,
-        n_freqs=sweep.n_freqs,
+        f0_hz=f0_hz,
+        bandwidth_hz=cfg.bandwidth_hz,
+        n_freqs=cfg.n_freqs,
         n_antennas=cfg.n_antennas,
         snr_db=args.snr_db,
         seed=cfg.seed,
@@ -251,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize an echo container for one split")
-    _add_shared(p)
+    _add_dataset(p)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--snr-db", type=float, default=None, help="noise level; omit for noise-free")
     p.add_argument("--f0-ghz", type=float, default=None, help="override sweep start frequency")
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fista)
 
     p = sub.add_parser("train", help="train the reconstruction networks")
-    _add_shared(p)
+    _add_dataset(p)
     p.add_argument(
         "--model",
         choices=("all",) + NETWORK_KINDS,
@@ -285,20 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="four-method comparison on the test split")
-    _add_shared(p)
+    _add_dataset(p)
     p.add_argument("--echoes", help="optional echo container replacing the test echoes")
     p.add_argument("--checkpoint-dir", help="directory with checkpoints (default: out dir)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-snr", help="noise-robustness sweep of the trained model")
-    _add_shared(p)
+    _add_dataset(p)
     p.add_argument("--checkpoint-dir", help="directory with checkpoints (default: out dir)")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--snr-db", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_sweep_snr)
 
     p = sub.add_parser("sweep-freq", help="center-frequency generalization sweep")
-    _add_shared(p)
+    _add_dataset(p)
     p.add_argument("--checkpoint-dir", help="directory with checkpoints (default: out dir)")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--f0-ghz", type=float, nargs="+", default=None)

@@ -22,7 +22,6 @@ from .errors import FormatError
 from .io import to_gray_bytes
 
 IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 
 MNIST_IMAGE_FILES = ("train-images-idx3-ubyte", "train-images.idx3-ubyte")
 
@@ -84,22 +83,6 @@ def read_idx_images(path) -> np.ndarray:
             )
         data = _read_exact(f, count * rows * cols, 16, path)
     return np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
-
-
-def read_idx_labels(path) -> np.ndarray:
-    """Read an IDX label file into a (count,) uint8 array."""
-    with _open_maybe_gzip(path) as f:
-        header = _read_exact(f, 8, 0, path)
-        magic, count = struct.unpack(">ii", header)
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{path}: bad magic 0x{magic:08x} at byte offset 0, "
-                f"expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        if count < 0:
-            raise FormatError(f"{path}: negative label count {count} at byte offset 4")
-        data = _read_exact(f, count, 8, path)
-    return np.frombuffer(data, dtype=np.uint8)
 
 
 def split_dataset(

@@ -5,34 +5,35 @@ round-trip phase terms over all grid cells,
 
     s(n, k) = sum_p eps_p * exp(-j * 4 * pi * f_n * R_{k,p} / c),
 
-which stacks into ``s = A @ eps`` with one Nf x P block per antenna. ``A``
-is a plain complex (Nf*K, P) array, and every function here takes it as one.
-Echoes are always batches of shape (n, Nf*K); a single echo is a batch of
-one. Measurement noise, where wanted, is complex AWGN added to such a batch
-at a per-echo SNR by :func:`noisy_echoes`.
+which stacks into ``s = A @ eps`` with one Nf x P block per antenna. The
+scene enters as the plain arrays of :mod:`radarqi.geometry`: frequencies
+(Nf,) in Hz, antenna positions (K, 2) and cell centers (P, 2) in metres.
+``A`` is a plain complex (Nf*K, P) array, and every function here takes it
+as one. Maps are real (n, P) batches; echoes are always complex batches of
+shape (n, Nf*K), and a single echo is a batch of one. Measurement noise,
+where wanted, is complex AWGN added to such a batch at a per-echo SNR by
+:func:`noisy_echoes`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, DoiGrid, FrequencySweep, distances
+from .geometry import SPEED_OF_LIGHT, distances
 
 
-def build_sensing_matrix(
-    sweep: FrequencySweep, array: ArrayGeometry, grid: DoiGrid
-) -> np.ndarray:
-    """Assemble the (Nf*K, P) matrix A with entries exp(-j * 4 * pi * f_n * R_{k,p} / c).
+def build_sensing_matrix(freqs: np.ndarray, positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Assemble the (Nf*K, P) matrix A with entries exp(-j * 4 * pi * f_n * R_{k,p} / c)
+    from (Nf,) frequencies [Hz], (K, 2) antenna positions and (P, 2) cell
+    centers [m].
 
     Rows are antenna-major: row i belongs to antenna ``i // Nf`` and
     frequency index ``i % Nf``. Every entry has unit modulus.
     """
-    r = distances(array, grid)  # (K, P)
+    r = distances(positions, centers)  # (K, P)
     # (K, Nf, P) phases, then stacked antenna-major into (Nf*K, P).
-    phase = (
-        4.0 * np.pi / SPEED_OF_LIGHT * sweep.freqs[None, :, None] * r[:, None, :]
-    )
-    return np.exp(-1j * phase).reshape(-1, grid.n_cells)
+    phase = 4.0 * np.pi / SPEED_OF_LIGHT * freqs[None, :, None] * r[:, None, :]
+    return np.exp(-1j * phase).reshape(-1, len(centers))
 
 
 def synthesize_echoes(a, maps: np.ndarray) -> np.ndarray:

@@ -1,21 +1,24 @@
 """Scene geometry: imaging grid, antenna array, frequency sweep, target maps.
 
-Conventions used throughout the package:
+The scene is three plain float64 arrays:
 
-* The domain of interest (DOI) is a square grid of ``side_cells`` x
-  ``side_cells`` cells centered on the origin. Cell centers are stored
-  row-major with ``p = row * side_cells + col``; row 0 sits at the largest
-  y coordinate, so a 28x28 image renders with its top row facing the
-  antenna array.
-* The antenna array is a uniform linear array on the line ``y = standoff``,
-  parallel to the x axis and centered on ``x = 0``.
-* Reflectivity (RCS) maps are plain float64 vectors of length
-  ``side_cells**2`` with values in [0, 1].
+* cell centers, shape (P, 2), in metres, from :func:`build_doi_grid`. The
+  domain of interest (DOI) is a square grid of ``side_cells`` x
+  ``side_cells`` cells centered on the origin, so P = ``side_cells**2``.
+  Cells are stored row-major with ``p = row * side_cells + col``; row 0
+  sits at the largest y coordinate, so a 28x28 image renders with its top
+  row facing the antenna array.
+* antenna positions, shape (K, 2), in metres, from :func:`build_ula`: a
+  uniform linear array on the line ``y = standoff``, parallel to the x axis,
+  centered on ``x = 0`` and ordered by increasing x.
+* frequencies, shape (Nf,), in Hz, from :func:`build_sweep`: strictly
+  increasing, starting at ``f0``.
+
+Reflectivity (RCS) maps are plain float64 vectors of length
+``side_cells**2`` with values in [0, 1].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,70 +27,8 @@ import numpy as np
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
 
-@dataclass(frozen=True)
-class DoiGrid:
-    """Square imaging grid centered on the origin.
-
-    Attributes
-    ----------
-    side_cells : int
-        Cells per side; the map has ``side_cells**2`` unknowns.
-    cell_size : float
-        Cell pitch [m].
-    centers : np.ndarray, shape (side_cells**2, 2)
-        Cell-center coordinates [m], row-major, row 0 at maximum y.
-    """
-
-    side_cells: int
-    cell_size: float
-    centers: np.ndarray
-
-    @property
-    def n_cells(self) -> int:
-        return self.side_cells * self.side_cells
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform linear antenna array.
-
-    Attributes
-    ----------
-    positions : np.ndarray, shape (K, 2)
-        Antenna coordinates [m], ordered by increasing x.
-    """
-
-    positions: np.ndarray
-
-    @property
-    def n_antennas(self) -> int:
-        return len(self.positions)
-
-
-@dataclass(frozen=True)
-class FrequencySweep:
-    """Stepped frequency sweep f_n = f0 + (B / n_freqs) * (n - 1), n = 1..n_freqs.
-
-    Attributes
-    ----------
-    f0 : float
-        Starting frequency [Hz].
-    bandwidth : float
-        Total swept bandwidth [Hz].
-    n_freqs : int
-        Number of frequency samples.
-    freqs : np.ndarray, shape (n_freqs,)
-        The sampled frequencies [Hz], strictly increasing, freqs[0] == f0.
-    """
-
-    f0: float
-    bandwidth: float
-    n_freqs: int
-    freqs: np.ndarray
-
-
-def build_doi_grid(side_cells: int, cell_size: float) -> DoiGrid:
-    """Mesh the DOI into a centered square grid of cell centers.
+def build_doi_grid(side_cells: int, cell_size: float) -> np.ndarray:
+    """The (side_cells**2, 2) cell centers [m] of a centered square grid.
 
     Parameters
     ----------
@@ -104,14 +45,13 @@ def build_doi_grid(side_cells: int, cell_size: float) -> DoiGrid:
     rows, cols = np.mgrid[0:side_cells, 0:side_cells]
     x = (cols.ravel() - half) * cell_size
     y = (half - rows.ravel()) * cell_size
-    return DoiGrid(side_cells, cell_size, np.column_stack([x, y]))
+    return np.column_stack([x, y])
 
 
-def build_ula(k: int, f0: float, standoff: float) -> ArrayGeometry:
-    """Build a uniform linear array with half-wavelength spacing c/(2*f0).
-
-    The array lies on ``y = standoff`` and is centered on ``x = 0``.
-    """
+def build_ula(k: int, f0: float, standoff: float) -> np.ndarray:
+    """The (k, 2) positions [m] of a uniform linear array with
+    half-wavelength spacing c/(2*f0), on ``y = standoff`` and centered on
+    ``x = 0``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if f0 <= 0:
@@ -119,22 +59,23 @@ def build_ula(k: int, f0: float, standoff: float) -> ArrayGeometry:
     spacing = SPEED_OF_LIGHT / (2.0 * f0)
     x = (np.arange(k) - (k - 1) / 2.0) * spacing
     y = np.full(k, standoff, dtype=float)
-    return ArrayGeometry(np.column_stack([x, y]))
+    return np.column_stack([x, y])
 
 
-def distances(array: ArrayGeometry, grid: DoiGrid) -> np.ndarray:
-    """Euclidean distances R[k, p] from antenna k to grid cell p, in meters."""
-    diff = array.positions[:, None, :] - grid.centers[None, :, :]
+def distances(positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Euclidean distances R[k, p] [m] from antenna k of (K, 2) positions to
+    cell p of (P, 2) centers; shape (K, P)."""
+    diff = positions[:, None, :] - centers[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def build_sweep(f0: float, bandwidth: float, n_freqs: int) -> FrequencySweep:
-    """Build the stepped sweep with exact step bandwidth / n_freqs."""
+def build_sweep(f0: float, bandwidth: float, n_freqs: int) -> np.ndarray:
+    """The (n_freqs,) stepped-sweep frequencies [Hz]
+    f_n = f0 + (bandwidth / n_freqs) * n, n = 0..n_freqs-1."""
     if not (0 < f0 < np.inf and 0 < bandwidth < np.inf) or n_freqs < 1:
         raise ValueError("sweep requires finite f0 > 0 and bandwidth > 0, n_freqs >= 1")
     step = bandwidth / n_freqs
-    freqs = f0 + step * np.arange(n_freqs)
-    return FrequencySweep(f0, bandwidth, n_freqs, freqs)
+    return f0 + step * np.arange(n_freqs)
 
 
 def _area_weights(n_in: int, n_out: int) -> np.ndarray:

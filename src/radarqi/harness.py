@@ -63,21 +63,21 @@ class DatasetBundle(TrainingData):
 
 
 def build_scene(cfg: ExperimentConfig, f0_hz: float | None = None):
-    """Grid, array, sweep, and the complex (m, P) sensing matrix from a config.
+    """Cell centers (P, 2) [m], antenna positions (K, 2) [m], frequencies
+    (Nf,) [Hz], and the complex (Nf*K, P) sensing matrix of a config.
 
     ``f0_hz`` overrides the sweep start frequency only; the antenna array
     keeps the spacing of the configured (deployed) frequency.
     """
-    grid = build_doi_grid(cfg.side_cells, cfg.cell_size_m)
-    array = build_ula(cfg.n_antennas, cfg.f0_hz, cfg.standoff_m)
-    sweep = build_sweep(cfg.f0_hz if f0_hz is None else f0_hz, cfg.bandwidth_hz, cfg.n_freqs)
-    return grid, array, sweep, build_sensing_matrix(sweep, array, grid)
+    centers = build_doi_grid(cfg.side_cells, cfg.cell_size_m)
+    positions = build_ula(cfg.n_antennas, cfg.f0_hz, cfg.standoff_m)
+    freqs = build_sweep(cfg.f0_hz if f0_hz is None else f0_hz, cfg.bandwidth_hz, cfg.n_freqs)
+    return centers, positions, freqs, build_sensing_matrix(freqs, positions, centers)
 
 
 def build_operator(cfg: ExperimentConfig, f0_hz: float | None = None) -> ImagingOperator:
     """The imaging operator of :func:`build_scene`'s sensing matrix."""
-    _, _, _, matrix = build_scene(cfg, f0_hz=f0_hz)
-    return ImagingOperator(matrix)
+    return ImagingOperator(build_scene(cfg, f0_hz=f0_hz)[-1])
 
 
 def check_scene(cfg: ExperimentConfig, saved: dict, source: str) -> None:
@@ -334,17 +334,13 @@ def sweep_center_frequency(
 
 
 def unseen_shape_eval(
-    cfg: ExperimentConfig,
-    op: ImagingOperator,
-    models: dict,
-    out_dir,
-    rasters: dict[str, np.ndarray] | None = None,
+    cfg: ExperimentConfig, op: ImagingOperator, models: dict, out_dir
 ) -> dict[str, MetricsReport]:
     """Evaluate on targets never seen in training (shapes and letters),
     resampled to the configured ``side_cells`` grid."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rasters = rasters if rasters is not None else shape_rasters()
+    rasters = shape_rasters()
     names = list(rasters)
     maps = rasters_to_maps(np.stack([rasters[n] for n in names]), cfg.side_cells)
     echoes = synthesize_echoes(op.matrix, maps)

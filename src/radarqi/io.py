@@ -160,31 +160,25 @@ def write_pgm(path, img: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-def image_grid(rows: list[list[np.ndarray]], pad: int = 1, pad_value: float = 0.5) -> np.ndarray:
-    """Compose equally-sized tiles into one image with thin separators."""
+def image_grid(rows: list[list[np.ndarray]]) -> np.ndarray:
+    """Compose equally-sized tiles into one image with 1-pixel mid-gray
+    separators."""
     tile_h, tile_w = rows[0][0].shape
     n_rows = len(rows)
     n_cols = max(len(r) for r in rows)
-    out = np.full(
-        (n_rows * tile_h + (n_rows + 1) * pad, n_cols * tile_w + (n_cols + 1) * pad),
-        pad_value,
-    )
+    out = np.full((n_rows * tile_h + n_rows + 1, n_cols * tile_w + n_cols + 1), 0.5)
     for i, row in enumerate(rows):
         for j, tile in enumerate(row):
-            top = pad + i * (tile_h + pad)
-            left = pad + j * (tile_w + pad)
+            top = 1 + i * (tile_h + 1)
+            left = 1 + j * (tile_w + 1)
             out[top : top + tile_h, left : left + tile_w] = np.clip(tile, 0.0, 1.0)
     return out
 
 
-def curve_raster(
-    xs,
-    ys,
-    width: int = 320,
-    height: int = 240,
-    margin: int = 20,
-) -> np.ndarray:
-    """Render a polyline as a white-background raster (basic sweep plot)."""
+def curve_raster(xs, ys) -> np.ndarray:
+    """Render a polyline as a 240x320 white-background raster with a
+    20-pixel margin (basic sweep plot)."""
+    width, height, margin = 320, 240, 20
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     img = np.ones((height, width))

@@ -34,19 +34,19 @@ def mse(a: np.ndarray, b: np.ndarray):
     return _per_image_mean((a - b) ** 2)
 
 
-def _gaussian_taps(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords**2) / (2.0 * sigma**2))
+def _gaussian_taps() -> np.ndarray:
+    half = (SSIM_WINDOW - 1) / 2.0
+    coords = np.arange(SSIM_WINDOW) - half
+    g = np.exp(-(coords**2) / (2.0 * SSIM_SIGMA**2))
     return g / g.sum()
 
 
-def ssim(a: np.ndarray, b: np.ndarray, data_range: float = 1.0):
+def ssim(a: np.ndarray, b: np.ndarray):
     """Mean local structural similarity over an 11x11 Gaussian window.
 
-    Window sigma 1.5, stabilizers K1 = 0.01 and K2 = 0.03 on the given
-    dynamic range, reflective padding at the borders. Callers should clamp
-    images into [0, data_range] first. The window is the outer product of a
+    Window sigma 1.5, stabilizers K1 = 0.01 and K2 = 0.03 on a dynamic
+    range of 1, reflective padding at the borders. Callers should clamp
+    images into [0, 1] first. The window is the outer product of a
     normalised 1-D Gaussian with itself and reflection pads each axis alone,
     so one 1-D pass along each image axis applies the same window.
     """
@@ -63,8 +63,8 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float = 1.0):
     var_b = filt(b * b) - mu_b**2
     cov = filt(a * b) - mu_a * mu_b
 
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return _per_image_mean(num / den)

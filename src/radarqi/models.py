@@ -253,23 +253,24 @@ class EchoDnn:
 
     The complex echo enters as real features (real parts then imaginary
     parts); the network is dense -> ReLU -> dense with a narrow hidden
-    layer.
+    layer of ``hidden`` = 10 units.
     """
 
-    def __init__(self, n_measurements: int, n_cells: int, hidden: int = 10, seed: int = 0):
+    hidden = 10
+    kind = "dnn"
+
+    def __init__(self, n_measurements: int, n_cells: int, seed: int = 0):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD44]))
         d_in = 2 * n_measurements
         self.n_measurements = n_measurements
         self.n_cells = n_cells
         self.params: dict[str, np.ndarray] = {
-            "dense1_weight": he_normal(rng, (d_in, hidden), d_in),
-            "dense1_bias": np.zeros(hidden),
-            "dense2_weight": he_normal(rng, (hidden, n_cells), hidden),
+            "dense1_weight": he_normal(rng, (d_in, self.hidden), d_in),
+            "dense1_bias": np.zeros(self.hidden),
+            "dense2_weight": he_normal(rng, (self.hidden, n_cells), self.hidden),
             "dense2_bias": np.zeros(n_cells),
         }
         self.trainable_names = list(self.params)
-
-    kind = "dnn"
 
     def n_params(self) -> int:
         return sum(v.size for v in self.params.values())
@@ -327,5 +328,5 @@ def build_model(kind: str, op: ImagingOperator, cfg, seed: int):
             seed=seed,
         )
     if kind == "dnn":
-        return EchoDnn(op.matrix.shape[0], op.n_cells, hidden=10, seed=seed)
+        return EchoDnn(op.matrix.shape[0], op.n_cells, seed=seed)
     raise ValueError(f"unknown model kind {kind!r}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,10 +76,11 @@ def hybrid_loss_batch(eps_true, eps_hat, echoes, matrix, w: LossWeights):
 class AdamState:
     """Bias-corrected Adam accumulators for a named parameter set."""
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
+
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -183,7 +185,12 @@ def _section(lines: list, name: str, start: int, path) -> int:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; every inconsistency, including a config that
-    :func:`~radarqi.config.config_from_text` rejects, raises FormatError."""
+    :func:`~radarqi.config.config_from_text` rejects, raises FormatError.
+
+    The manifest must list each parameter once, and each array must start
+    at the payload byte where the previous one ends, as
+    :func:`save_checkpoint` writes them.
+    """
     lines, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     config_at = _section(lines, "[config]", 0, path)
     arrays_at = _section(lines, "[arrays]", config_at, path)
@@ -207,13 +214,20 @@ def load_checkpoint(path) -> Checkpoint:
         group, _, base = name.partition(".")
         if group != "param":
             raise FormatError(f"{path}: unknown array group {group!r}")
+        if base in params:
+            raise FormatError(f"{path}: array {name} is listed twice")
+        if offset != used:
+            raise FormatError(
+                f"{path}: array {name} starts at payload byte {offset}, but the "
+                f"previous array ends at byte {used}"
+            )
         end = offset + int(np.prod(shape)) * 8
         if end > len(payload):
             raise FormatError(
                 f"{path}: array {name} needs bytes up to {end}, payload has "
                 f"{len(payload)}"
             )
-        used = max(used, end)
+        used = end
         params[base] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
     if len(payload) > used:
         raise FormatError(
@@ -238,10 +252,11 @@ def restore_model(model, ckpt: Checkpoint) -> None:
 
     Checks, in order, the model kind, the grid (``side_cells**2`` cells) and
     the measurement count (``n_freqs * n_antennas``) saved with the
-    checkpoint's config, then every array's name and shape; the first
-    disagreement raises :class:`FormatError`. The grid and measurement
-    checks matter because no ``LFistaResNet`` parameter depends on either,
-    so a checkpoint from another geometry would otherwise load silently.
+    checkpoint's config, then that the checkpoint holds exactly the model's
+    parameter names, then every array's shape; the first disagreement raises
+    :class:`FormatError`. The grid and measurement checks matter because no
+    ``LFistaResNet`` parameter depends on either, so a checkpoint from
+    another geometry would otherwise load silently.
     """
     if model.kind != ckpt.kind:
         raise FormatError(f"checkpoint kind {ckpt.kind!r} does not match {model.kind!r}")
@@ -252,9 +267,14 @@ def restore_model(model, ckpt: Checkpoint) -> None:
     ):
         if theirs != ours:
             raise FormatError(f"{what} mismatch: checkpoint {theirs}, model {ours}")
+    missing = [name for name in model.params if name not in ckpt.params]
+    unknown = [name for name in ckpt.params if name not in model.params]
+    if missing or unknown:
+        raise FormatError(
+            f"checkpoint parameters differ from the model's: missing {missing}, "
+            f"unknown {unknown}"
+        )
     for name, arr in ckpt.params.items():
-        if name not in model.params:
-            raise FormatError(f"checkpoint has unknown parameter {name!r}")
         if model.params[name].shape != arr.shape:
             raise FormatError(
                 f"shape mismatch for {name!r}: checkpoint {arr.shape}, "

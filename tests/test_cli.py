@@ -1,6 +1,7 @@
 """The CLI end to end on a small scene: every subcommand runs, two runs
 write byte-identical artifacts, and the exit-code contract holds."""
 
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from conftest import run_cli
 from radarqi import io as rio
+from radarqi.cli import build_parser, main
+from radarqi.config import config_from_text
 
 SMALL_CONFIG = """\
 side_cells = 8
@@ -299,3 +302,63 @@ def test_override_values_taken_as_given(two_runs, tmp_path, args, message):
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert not (out / "echoes_test.bin").exists()
+
+
+def test_synth_header_holds_the_swept_f0_and_the_config_sweep(two_runs, tmp_path):
+    workdir, config, _ = two_runs
+    out = tmp_path / "f32"
+    cli_ok(["synth", "--config", str(config), "--out-dir", str(out), "--f0-ghz", "32"], workdir)
+    header = (out / "echoes_test.bin").read_bytes().split(b"\n[binary]\n")[0].decode()
+    cfg = config_from_text(SMALL_CONFIG)
+    for line in (
+        "f0_hz = 32000000000.0",
+        f"bandwidth_hz = {cfg.bandwidth_hz!r}",
+        f"n_freqs = {cfg.n_freqs}",
+    ):
+        assert line in header.splitlines()
+
+
+# Each subcommand's options, as build_parser() declares them. fista, infer and
+# shapes build no dataset, so they take no --seed, --fast or --mnist-dir.
+SHARED = {"--config", "--out-dir"}
+DATASET = SHARED | {"--seed", "--fast", "--mnist-dir"}
+OPTIONS = {
+    "synth": DATASET | {"--split", "--snr-db", "--f0-ghz"},
+    "fista": SHARED | {"--echoes", "--lambda", "--max-iter", "--record-objective"},
+    "train": DATASET | {"--model"},
+    "infer": SHARED | {"--checkpoint", "--echoes"},
+    "eval": DATASET | {"--echoes", "--checkpoint-dir"},
+    "sweep-snr": DATASET | {"--checkpoint-dir", "--samples", "--snr-db"},
+    "sweep-freq": DATASET | {"--checkpoint-dir", "--samples", "--f0-ghz"},
+    "shapes": SHARED | {"--checkpoint-dir"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    found = {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in subparsers.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(len(options) for options in found.values()) == 50
+
+
+@pytest.mark.parametrize("command", ["fista", "infer", "shapes"])
+@pytest.mark.parametrize(
+    "flag", [["--seed", "5"], ["--fast"], ["--mnist-dir", "mnist"]], ids=["seed", "fast", "mnist_dir"]
+)
+def test_dataset_flag_on_a_subcommand_without_a_dataset_exits_2(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    required = {
+        "fista": ["--echoes", "e.bin"],
+        "infer": ["--echoes", "e.bin", "--checkpoint", "m.ckpt"],
+        "shapes": [],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out-dir", str(out), *required, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()

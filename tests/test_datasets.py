@@ -5,9 +5,7 @@ import pytest
 
 from radarqi.datasets import (
     IDX_IMAGE_MAGIC,
-    IDX_LABEL_MAGIC,
     read_idx_images,
-    read_idx_labels,
     shape_rasters,
     split_dataset,
     synthetic_digit_rasters,
@@ -21,12 +19,6 @@ def write_idx_images(path, images: np.ndarray) -> None:
     path.write_bytes(struct.pack(">iiii", IDX_IMAGE_MAGIC, len(images), 28, 28) + images.tobytes())
 
 
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write (count,) uint8 labels in IDX format."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    path.write_bytes(struct.pack(">ii", IDX_LABEL_MAGIC, len(labels)) + labels.tobytes())
-
-
 class TestIdxFormat:
     def test_image_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -34,12 +26,6 @@ class TestIdxFormat:
         path = tmp_path / "imgs.idx3-ubyte"
         write_idx_images(path, images)
         np.testing.assert_array_equal(read_idx_images(path), images)
-
-    def test_label_round_trip(self, tmp_path):
-        labels = np.arange(12, dtype=np.uint8) % 10
-        path = tmp_path / "labels.idx1-ubyte"
-        write_idx_labels(path, labels)
-        np.testing.assert_array_equal(read_idx_labels(path), labels)
 
     def test_header_count_defines_length(self, tmp_path):
         images = np.zeros((7, 28, 28), dtype=np.uint8)

@@ -93,8 +93,8 @@ class TestEnergy:
     def test_zero_residual(self, table1_scene):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(4)
-        eps = np.zeros(grid.n_cells)
-        eps[rng.integers(0, grid.n_cells, 10)] = rng.uniform(0, 1, 10)
+        eps = np.zeros(len(grid))
+        eps[rng.integers(0, len(grid), 10)] = rng.uniform(0, 1, 10)
         s = synthesize_echoes(matrix, eps[None])[0]
         assert energy(matrix, s, eps, 0.01) == pytest.approx(0.01 * np.sum(np.abs(eps)))
 
@@ -111,7 +111,7 @@ class TestEnergy:
     def test_batch_rows_match_single_echo(self, table1_scene):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(13)
-        maps = rng.uniform(0, 1, (4, grid.n_cells)) * (rng.uniform(size=(4, grid.n_cells)) < 0.1)
+        maps = rng.uniform(0, 1, (4, len(grid))) * (rng.uniform(size=(4, len(grid))) < 0.1)
         echoes = synthesize_echoes(matrix, maps) + rng.normal(size=(4, matrix.shape[0]))
         batch = energy(matrix, echoes, maps, 0.01)
         assert batch.shape == (4,)
@@ -137,7 +137,7 @@ class TestFistaSolve:
 
     def test_single_point_scene_recovered(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
-        eps = np.zeros(grid.n_cells)
+        eps = np.zeros(len(grid))
         eps[300] = 1.0
         s = synthesize_echoes(matrix, eps[None])[0]
         cfg = FistaConfig(lam=0.001, max_iter=300)
@@ -173,8 +173,8 @@ class TestFistaSolve:
     def test_batch_matches_single(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(7)
-        maps = rng.uniform(0, 1, (3, grid.n_cells)) * (
-            rng.uniform(size=(3, grid.n_cells)) < 0.1
+        maps = rng.uniform(0, 1, (3, len(grid))) * (
+            rng.uniform(size=(3, len(grid))) < 0.1
         )
         echoes = maps @ matrix.T
         cfg = FistaConfig(lam=0.001, max_iter=60)
@@ -186,11 +186,11 @@ class TestFistaSolve:
     def test_fista_solve_on_a_batch_matches_each_echo(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(14)
-        maps = rng.uniform(0, 1, (3, grid.n_cells)) * (rng.uniform(size=(3, grid.n_cells)) < 0.1)
+        maps = rng.uniform(0, 1, (3, len(grid))) * (rng.uniform(size=(3, len(grid))) < 0.1)
         echoes = synthesize_echoes(matrix, maps)
         cfg = FistaConfig(lam=0.001, max_iter=60, record_objective=True)
         batch = fista_solve(matrix, echoes, cfg, op=table1_op)
-        assert batch.estimate.shape == (3, grid.n_cells)
+        assert batch.estimate.shape == (3, len(grid))
         assert batch.objective_trace.shape == (3, 61)
         assert batch.iterations_run == 60
         for i in range(3):
@@ -202,7 +202,7 @@ class TestFistaSolve:
     def test_batch_of_one_bit_identical(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(10)
-        eps = rng.uniform(0, 1, grid.n_cells) * (rng.uniform(size=grid.n_cells) < 0.1)
+        eps = rng.uniform(0, 1, len(grid)) * (rng.uniform(size=len(grid)) < 0.1)
         s = synthesize_echoes(matrix, eps[None])[0]
         cfg = FistaConfig(lam=0.001, max_iter=80)
         single = fista_solve(matrix, s, cfg, op=table1_op)
@@ -227,12 +227,12 @@ class TestFistaSolve:
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(8)
         for lam in (0.001, 0.01):
-            eps = np.zeros(grid.n_cells)
-            eps[rng.integers(0, grid.n_cells, 12)] = rng.uniform(0.2, 1, 12)
+            eps = np.zeros(len(grid))
+            eps[rng.integers(0, len(grid), 12)] = rng.uniform(0.2, 1, 12)
             s = synthesize_echoes(matrix, eps[None])[0]
             cfg = FistaConfig(lam=lam, max_iter=100)
             result = fista_solve(matrix, s, cfg, op=table1_op)
-            e0 = energy(matrix, s, np.zeros(grid.n_cells), lam)
+            e0 = energy(matrix, s, np.zeros(len(grid)), lam)
             assert energy(matrix, s, result.estimate, lam) < e0
 
 

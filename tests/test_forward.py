@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from radarqi.config import ExperimentConfig
 from radarqi.forward import build_sensing_matrix, noisy_echoes, synthesize_echoes
 from radarqi.geometry import (
     SPEED_OF_LIGHT,
-    ArrayGeometry,
     build_doi_grid,
     build_sweep,
     build_ula,
     distances,
 )
+from radarqi.harness import build_scene
 
 
 def toy_scene(n_antennas=3, n_freqs=5, side=3):
@@ -23,13 +24,13 @@ def brute_force_echo(sweep, array, grid, eps):
     """Direct double loop over antennas and frequencies, summing the phase
     contribution of every grid cell; independent of the matrix path."""
     r = distances(array, grid)
-    out = np.zeros(array.n_antennas * sweep.n_freqs, dtype=np.complex128)
+    out = np.zeros(len(array) * len(sweep), dtype=np.complex128)
     i = 0
-    for k in range(array.n_antennas):
-        for n in range(sweep.n_freqs):
-            f = sweep.f0 + sweep.bandwidth / sweep.n_freqs * n
+    for k in range(len(array)):
+        for n in range(len(sweep)):
+            f = 30e9 + 5e9 / len(sweep) * n  # toy_scene's sweep start and bandwidth
             acc = 0.0 + 0.0j
-            for p in range(grid.n_cells):
+            for p in range(len(grid)):
                 acc += eps[p] * np.exp(-1j * 2 * np.pi * f * 2 * r[k, p] / SPEED_OF_LIGHT)
             out[i] = acc
             i += 1
@@ -49,7 +50,7 @@ class TestSensingMatrix:
     def test_phase_spot_check_quarter_cycle(self):
         # R = 2.00125 m adds half a pi: entry -1j
         grid = build_doi_grid(1, 0.01)
-        array = ArrayGeometry(np.array([[0.0, 2.00125]]))
+        array = np.array([[0.0, 2.00125]])
         sweep = build_sweep(30e9, 5e9, 1)
         a = build_sensing_matrix(sweep, array, grid)
         assert a[0, 0] == pytest.approx(0.0 - 1.0j, abs=1e-12)
@@ -64,10 +65,20 @@ class TestSensingMatrix:
         a = build_sensing_matrix(sweep, array, grid)
         r = distances(array, grid)
         for i in range(a.shape[0]):
-            k, n = divmod(i, sweep.n_freqs)
-            f = sweep.freqs[n]
+            k, n = divmod(i, len(sweep))
+            f = sweep[n]
             expected = np.exp(-1j * 4 * np.pi * f * r[k] / SPEED_OF_LIGHT)
             np.testing.assert_allclose(a[i], expected, atol=1e-12)
+
+
+def test_build_scene_returns_the_arrays_and_their_matrix():
+    cfg = ExperimentConfig(side_cells=4, n_antennas=3, n_freqs=5)
+    centers, positions, freqs, matrix = build_scene(cfg, f0_hz=32e9)
+    assert centers.shape == (16, 2) and positions.shape == (3, 2) and freqs.shape == (5,)
+    assert freqs[0] == 32e9
+    np.testing.assert_array_equal(positions, build_ula(3, cfg.f0_hz, cfg.standoff_m))
+    assert matrix.shape == (15, 16) and matrix.dtype == np.complex128
+    np.testing.assert_array_equal(matrix, build_sensing_matrix(freqs, positions, centers))
 
 
 def synthesize_one(a, eps):
@@ -79,12 +90,12 @@ class TestSynthesizeEcho:
     def test_zero_map_zero_echo(self):
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
-        assert np.all(synthesize_one(a, np.zeros(grid.n_cells)) == 0)
+        assert np.all(synthesize_one(a, np.zeros(len(grid))) == 0)
 
     def test_unit_cell_selects_column(self):
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
-        eps = np.zeros(grid.n_cells)
+        eps = np.zeros(len(grid))
         eps[4] = 1.0
         np.testing.assert_allclose(synthesize_one(a, eps), a[:, 4])
 
@@ -92,7 +103,7 @@ class TestSynthesizeEcho:
         grid, array, sweep = toy_scene(3, 5, 3)
         a = build_sensing_matrix(sweep, array, grid)
         rng = np.random.default_rng(0)
-        eps = rng.uniform(0, 1, grid.n_cells)
+        eps = rng.uniform(0, 1, len(grid))
         got = synthesize_one(a, eps)
         want = brute_force_echo(sweep, array, grid, eps)
         np.testing.assert_allclose(got, want, rtol=1e-10)
@@ -100,8 +111,8 @@ class TestSynthesizeEcho:
     def test_additivity(self):
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
-        eps1 = np.zeros(grid.n_cells)
-        eps2 = np.zeros(grid.n_cells)
+        eps1 = np.zeros(len(grid))
+        eps2 = np.zeros(len(grid))
         eps1[[0, 3, 7]] = (0.2, 0.9, 0.5)
         eps2[[1, 3]] = (0.4, 0.1)
         s12 = synthesize_one(a, eps1 + eps2)
@@ -113,7 +124,7 @@ class TestSynthesizeEcho:
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
         rng = np.random.default_rng(1)
-        eps = rng.uniform(0, 1, grid.n_cells)
+        eps = rng.uniform(0, 1, len(grid))
         np.testing.assert_array_equal(
             synthesize_one(a, 2.0 * eps), 2.0 * synthesize_one(a, eps)
         )
@@ -122,15 +133,15 @@ class TestSynthesizeEcho:
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
         with pytest.raises(ValueError):
-            synthesize_one(a, np.zeros(grid.n_cells + 1))
+            synthesize_one(a, np.zeros(len(grid) + 1))
         with pytest.raises(ValueError):
-            synthesize_echoes(a, np.zeros(grid.n_cells))
+            synthesize_echoes(a, np.zeros(len(grid)))
 
     def test_batch_matches_single(self):
         grid, array, sweep = toy_scene()
         a = build_sensing_matrix(sweep, array, grid)
         rng = np.random.default_rng(2)
-        maps = rng.uniform(0, 1, (4, grid.n_cells))
+        maps = rng.uniform(0, 1, (4, len(grid)))
         batch = synthesize_echoes(a, maps)
         for i in range(4):
             np.testing.assert_allclose(batch[i], synthesize_one(a, maps[i]))

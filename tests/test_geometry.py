@@ -3,7 +3,6 @@ import pytest
 
 from radarqi.geometry import (
     SPEED_OF_LIGHT,
-    ArrayGeometry,
     build_doi_grid,
     build_sweep,
     build_ula,
@@ -18,38 +17,54 @@ def one_map(raster):
     return rasters_to_maps(raster[None], 28)[0]
 
 
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda: build_doi_grid(5, 0.02), (25, 2)),
+        (lambda: build_ula(3, 30e9, 2.0), (3, 2)),
+        (lambda: build_sweep(30e9, 5e9, 7), (7,)),
+    ],
+    ids=["centers", "positions", "freqs"],
+)
+def test_builders_return_plain_float64_arrays(build, shape):
+    out = build()
+    assert type(out) is np.ndarray
+    assert out.dtype == np.float64
+    assert out.shape == shape
+
+
 class TestDoiGrid:
     def test_default_grid_span(self):
         grid = build_doi_grid(28, 0.01)
-        assert grid.n_cells == 784
+        assert len(grid) == 784
         # centers at (col - 13.5) * 0.01 horizontally, mirrored vertically
-        assert grid.centers[:, 0].min() == pytest.approx(-0.135, abs=1e-15)
-        assert grid.centers[:, 0].max() == pytest.approx(+0.135, abs=1e-15)
-        assert grid.centers[:, 1].min() == pytest.approx(-0.135, abs=1e-15)
-        assert grid.centers[:, 1].max() == pytest.approx(+0.135, abs=1e-15)
+        assert grid[:, 0].min() == pytest.approx(-0.135, abs=1e-15)
+        assert grid[:, 0].max() == pytest.approx(+0.135, abs=1e-15)
+        assert grid[:, 1].min() == pytest.approx(-0.135, abs=1e-15)
+        assert grid[:, 1].max() == pytest.approx(+0.135, abs=1e-15)
         # row-major indexing: p = row * 28 + col, row 0 at maximum y
         p = 2 * 28 + 5
-        assert grid.centers[p, 0] == pytest.approx((5 - 13.5) * 0.01)
-        assert grid.centers[p, 1] == pytest.approx((13.5 - 2) * 0.01)
+        assert grid[p, 0] == pytest.approx((5 - 13.5) * 0.01)
+        assert grid[p, 1] == pytest.approx((13.5 - 2) * 0.01)
 
     def test_single_cell_at_origin(self):
         grid = build_doi_grid(1, 0.01)
-        np.testing.assert_allclose(grid.centers, [[0.0, 0.0]])
+        np.testing.assert_allclose(grid, [[0.0, 0.0]])
 
     def test_two_by_two_enumeration(self):
         grid = build_doi_grid(2, 0.02)
         expected = [(-0.01, 0.01), (0.01, 0.01), (-0.01, -0.01), (0.01, -0.01)]
-        np.testing.assert_allclose(grid.centers, expected, atol=1e-15)
+        np.testing.assert_allclose(grid, expected, atol=1e-15)
 
     def test_symmetric_about_origin(self):
         grid = build_doi_grid(6, 0.03)
-        flipped = {(-round(x, 12), -round(y, 12)) for x, y in grid.centers}
-        original = {(round(x, 12), round(y, 12)) for x, y in grid.centers}
+        flipped = {(-round(x, 12), -round(y, 12)) for x, y in grid}
+        original = {(round(x, 12), round(y, 12)) for x, y in grid}
         assert flipped == original
 
     def test_adjacent_centers_differ_by_cell_size(self):
         grid = build_doi_grid(5, 0.02)
-        c = grid.centers.reshape(5, 5, 2)
+        c = grid.reshape(5, 5, 2)
         np.testing.assert_allclose(c[:, 1:, 0] - c[:, :-1, 0], 0.02)
         np.testing.assert_allclose(c[1:, :, 1] - c[:-1, :, 1], -0.02)
 
@@ -65,22 +80,22 @@ class TestUla:
         arr = build_ula(4, 30e9, 2.0)
         # spacing c / (2 f0) = 5 mm, centered on x = 0
         np.testing.assert_allclose(
-            arr.positions[:, 0], [-7.5e-3, -2.5e-3, 2.5e-3, 7.5e-3], atol=1e-15
+            arr[:, 0], [-7.5e-3, -2.5e-3, 2.5e-3, 7.5e-3], atol=1e-15
         )
-        np.testing.assert_allclose(arr.positions[:, 1], 2.0)
+        np.testing.assert_allclose(arr[:, 1], 2.0)
 
     def test_single_antenna_centered(self):
         arr = build_ula(1, 30e9, 2.0)
-        np.testing.assert_allclose(arr.positions, [[0.0, 2.0]])
+        np.testing.assert_allclose(arr, [[0.0, 2.0]])
 
     def test_two_antennas_at_15ghz(self):
         arr = build_ula(2, 15e9, 2.0)
-        np.testing.assert_allclose(arr.positions[:, 0], [-5e-3, 5e-3], atol=1e-15)
+        np.testing.assert_allclose(arr[:, 0], [-5e-3, 5e-3], atol=1e-15)
 
     def test_spacing_invariant(self):
         for k, f0 in [(4, 30e9), (7, 12e9), (2, 94e9)]:
             arr = build_ula(k, f0, 2.0)
-            gaps = np.diff(arr.positions[:, 0])
+            gaps = np.diff(arr[:, 0])
             np.testing.assert_allclose(gaps, SPEED_OF_LIGHT / (2 * f0), atol=1e-12)
 
     def test_invalid_arguments(self):
@@ -92,25 +107,19 @@ class TestUla:
 
 class TestDistances:
     def test_known_values(self):
-        arr = ArrayGeometry(np.array([[0.0, 2.0]]))
+        arr = np.array([[0.0, 2.0]])
         grid = build_doi_grid(1, 0.01)
         assert distances(arr, grid)[0, 0] == pytest.approx(2.0)
 
     def test_pythagoras(self):
-        arr = ArrayGeometry(np.array([[0.0, 2.0]]))
-
-        class P:
-            centers = np.array([[0.03, 0.04]])
-            side_cells = 1
-            cell_size = 0.01
-            n_cells = 1
-
+        arr = np.array([[0.0, 2.0]])
+        centers = np.array([[0.03, 0.04]])
         r = np.sqrt((0.0 - 0.03) ** 2 + (2.0 - 0.04) ** 2)
         assert r == pytest.approx(1.96022957, abs=1e-8)
-        assert distances(arr, P)[0, 0] == pytest.approx(r, abs=1e-15)
+        assert distances(arr, centers)[0, 0] == pytest.approx(r, abs=1e-15)
 
     def test_symmetric_points_equal_distance(self):
-        arr = ArrayGeometry(np.array([[0.0, 2.0]]))
+        arr = np.array([[0.0, 2.0]])
         grid = build_doi_grid(4, 0.02)
         r = distances(arr, grid)[0].reshape(4, 4)
         np.testing.assert_allclose(r, r[:, ::-1])
@@ -122,8 +131,8 @@ class TestDistances:
         r = distances(arr, grid)
         brute = np.array(
             [
-                [np.hypot(ax - px, ay - py) for (px, py) in grid.centers]
-                for (ax, ay) in arr.positions
+                [np.hypot(ax - px, ay - py) for (px, py) in grid]
+                for (ax, ay) in arr
             ]
         )
         np.testing.assert_allclose(r, brute, atol=1e-15)
@@ -200,10 +209,10 @@ class TestRastersToMaps:
 class TestSweep:
     def test_table_values(self):
         sw = build_sweep(30e9, 5e9, 50)
-        assert sw.freqs.shape == (50,)
-        assert sw.freqs[0] == 30e9
-        assert np.all(np.diff(sw.freqs) > 0)
-        np.testing.assert_allclose(np.diff(sw.freqs), 5e9 / 50)
+        assert sw.shape == (50,)
+        assert sw[0] == 30e9
+        assert np.all(np.diff(sw) > 0)
+        np.testing.assert_allclose(np.diff(sw), 5e9 / 50)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

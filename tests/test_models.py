@@ -93,8 +93,8 @@ class TestUnrolledForward:
         _, grid, _, _, matrix = table1_scene
         model = LFistaResNet(table1_op)  # init: mu = 1/lmax, theta = 0.01 * mu
         rng = np.random.default_rng(0)
-        eps = np.zeros(grid.n_cells)
-        eps[rng.integers(0, grid.n_cells, 20)] = rng.uniform(0.2, 1.0, 20)
+        eps = np.zeros(len(grid))
+        eps[rng.integers(0, len(grid), 20)] = rng.uniform(0.2, 1.0, 20)
         s = synthesize_echoes(matrix, eps[None])[0]
         mu = 1.0 / table1_op.lmax
         want = relu_fista_oracle(matrix, s, mu, 0.01 * mu, 20)
@@ -159,7 +159,7 @@ class TestModelForward:
 
     def test_untrained_point_target_is_finite(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
-        eps = np.zeros(grid.n_cells)
+        eps = np.zeros(len(grid))
         eps[100] = 1.0
         s = synthesize_echoes(matrix, eps[None])[0]
         model = LFistaResNet(table1_op)
@@ -172,7 +172,7 @@ class TestModelForward:
         # two sum in different orders, so compare against the output's scale
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(13)
-        maps = rng.uniform(0, 1, (4, grid.n_cells)) * (rng.uniform(size=(4, grid.n_cells)) < 0.1)
+        maps = rng.uniform(0, 1, (4, len(grid))) * (rng.uniform(size=(4, len(grid))) < 0.1)
         echoes = synthesize_echoes(matrix, maps)
         model = LFistaResNet(table1_op)
         batched = model.forward(echoes)

@@ -42,7 +42,7 @@ class TestHybridLoss:
     def test_zero_at_perfect_prediction(self, table1_scene):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(0)
-        eps = rng.uniform(0, 1, grid.n_cells) * (rng.uniform(size=grid.n_cells) < 0.2)
+        eps = rng.uniform(0, 1, len(grid)) * (rng.uniform(size=len(grid)) < 0.2)
         s = synthesize_echoes(matrix, eps[None])[0]
         value, grad = loss_one(eps, eps, s, matrix, LossWeights())
         assert value < 1e-10
@@ -98,7 +98,7 @@ class TestHybridLoss:
     def test_physics_term_equals_injected_noise_power(self, table1_scene):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(4)
-        eps = rng.uniform(0, 1, grid.n_cells) * (rng.uniform(size=grid.n_cells) < 0.2)
+        eps = rng.uniform(0, 1, len(grid)) * (rng.uniform(size=len(grid)) < 0.2)
         clean = synthesize_echoes(matrix, eps[None])
         noisy = noisy_echoes(clean, 10.0, seed=7)
         w = LossWeights(lambda1=0.0, lambda2=1.0)
@@ -367,6 +367,33 @@ class TestCheckpointIO:
         other = build_model("lfista_resnet", ImagingOperator(matrix), other_cfg, 0)
         with pytest.raises(FormatError, match="measurement count mismatch"):
             restore_model(other, ckpt)
+
+    def test_missing_parameter_on_restore(self):
+        cfg, op, ckpt = self._checkpoint()
+        del ckpt.params["tail_kernel"]
+        fresh = build_model("lfista_resnet", op, cfg, cfg.seed + 1)
+        with pytest.raises(FormatError, match=r"missing \['tail_kernel'\]"):
+            restore_model(fresh, ckpt)
+
+    def _manifest_checkpoint(self, tmp_path, manifest, payload_bytes):
+        header = (
+            f"radarqi-checkpoint {CHECKPOINT_VERSION}\nkind = dnn\nepoch = 1\n"
+            f"best_val_loss = 0.5\n[config]\n{ExperimentConfig().to_text()}[arrays]\n"
+            f"{manifest}[binary]\n"
+        )
+        path = tmp_path / "manifest.ckpt"
+        path.write_bytes(header.encode() + np.arange(payload_bytes // 8, dtype="<f8").tobytes())
+        return path
+
+    def test_parameter_listed_twice_rejected(self, tmp_path):
+        path = self._manifest_checkpoint(tmp_path, "param.a 2 0\nparam.a 2 16\n", 32)
+        with pytest.raises(FormatError, match="param.a is listed twice"):
+            load_checkpoint(path)
+
+    def test_overlapping_arrays_rejected(self, tmp_path):
+        path = self._manifest_checkpoint(tmp_path, "param.a 2 0\nparam.b 2 0\n", 16)
+        with pytest.raises(FormatError, match="param.b starts at payload byte 0"):
+            load_checkpoint(path)
 
     def test_same_geometry_restores(self):
         cfg, op, ckpt = self._checkpoint()
