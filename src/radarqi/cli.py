@@ -202,7 +202,6 @@ def cmd_sweep_snr(args) -> int:
     n = min(args.samples, len(bundle.test_maps))
     models = _load_models(cfg, op, args, kinds=("lfista_resnet",))
     results = sweep_snr(
-        cfg,
         op,
         models["lfista_resnet"],
         bundle.test_maps[:n],

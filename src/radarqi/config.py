@@ -78,10 +78,7 @@ class ExperimentConfig:
         lines = []
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type in ("float", float):
-                text = repr(float(value))
-            else:
-                text = str(value)
+            text = repr(float(value)) if f.type == "float" else str(value)
             lines.append(f"{f.name} = {text}")
         return "\n".join(lines) + "\n"
 
@@ -96,8 +93,7 @@ SCENE_FIELDS = (
 
 
 def _parse_value(name: str, raw: str):
-    f = _FIELDS[name]
-    ftype = f.type if isinstance(f.type, str) else f.type.__name__
+    ftype = _FIELDS[name].type
     try:
         if ftype == "int":
             return int(raw)

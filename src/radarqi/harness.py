@@ -1,6 +1,14 @@
 """Experiment harness: dataset assembly, the four-method comparison, and
 the generalization sweeps (noise level, center frequency, unseen shapes).
 
+Every evaluation scores through one path. A runner maps ``(echoes, op)`` to
+(n, P) maps: FISTA at the config's settings, or a network through
+:func:`~radarqi.models.predict_maps`. :func:`run_methods` runs each runner
+on identical echoes and returns one :class:`MetricsReport` per method, maps
+included, and the shared writers turn reports into the per-sample CSV, the
+truth/reconstruction/error grids and the SSIM-curve raster. A new
+evaluation is one more caller of :func:`run_methods`.
+
 Every artifact except ``timing.txt`` is a deterministic function of the
 configuration, seed, and checkpoints; wall-clock measurements are kept out
 of the CSV files on purpose.
@@ -8,8 +16,10 @@ of the CSV files on purpose.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +35,6 @@ from .metrics import image_quality
 from .models import build_model, predict_maps
 from .training import TrainingData, fit, load_checkpoint, restore_model, save_checkpoint
 
-METHOD_ORDER = ("fista", "fista_resnet", "lfista_resnet", "dnn")
 NETWORK_KINDS = ("fista_resnet", "lfista_resnet", "dnn")
 
 REFERENCE_FULL_SCALE = (
@@ -40,9 +49,10 @@ F0_GRID_GHZ = (28.0, 29.0, 30.0, 31.0, 32.0)
 
 @dataclass
 class MetricsReport:
-    """Per-sample quality metrics for one method, and their means."""
+    """One method's (n, P) reconstructions, their per-sample quality, and
+    the means."""
 
-    method: str
+    maps: np.ndarray
     per_sample_mse: np.ndarray
     per_sample_ssim: np.ndarray
     runtime_per_sample: float
@@ -160,56 +170,63 @@ def load_trained_model(cfg: ExperimentConfig, op: ImagingOperator, kind: str | N
 # ---------------------------------------------------------------------------
 
 
-def _method_runners(cfg: ExperimentConfig, op: ImagingOperator, models: dict):
-    runners = {}
+def _runners(cfg: ExperimentConfig, models: dict) -> dict:
+    """FISTA at the config's solver settings, then each network in ``models``
+    order; every runner maps ``(echoes, op)`` to (n, P) maps."""
     solver_cfg = FistaConfig(lam=cfg.fista_lambda, max_iter=cfg.fista_max_iter)
-    runners["fista"] = lambda echoes, op=op: fista_solve_many(op.matrix, echoes, solver_cfg, op)
+    runners = {"fista": lambda echoes, op: fista_solve_many(op.matrix, echoes, solver_cfg, op)}
     for kind, model in models.items():
-        runners[kind] = lambda echoes, op=op, model=model: predict_maps(model, echoes, op)
+        runners[kind] = partial(predict_maps, model)
     return runners
 
 
 def run_methods(
-    cfg: ExperimentConfig,
-    op: ImagingOperator,
-    models: dict,
-    truth: np.ndarray,
-    echoes: np.ndarray,
-    timed: bool = False,
-) -> tuple[dict[str, MetricsReport], dict[str, np.ndarray]]:
-    """Run every method on identical echoes; returns reports and maps.
+    runners: dict, op: ImagingOperator, truth: np.ndarray, echoes: np.ndarray, timed: bool = False
+) -> dict[str, MetricsReport]:
+    """Run each runner on identical echoes through ``op`` and score its maps
+    against the (n, side**2) ``truth``; reports keep the runners' order.
 
     With ``timed``, each method is warmed on one echo first and then timed
     over the full batch, so all methods share sample count and warm caches.
     """
-    runners = _method_runners(cfg, op, models)
-    reports, recons = {}, {}
-    for method in METHOD_ORDER:
-        if method not in runners:
-            continue
-        run = runners[method]
+    side = math.isqrt(truth.shape[-1])
+    reports = {}
+    for method, run in runners.items():
         elapsed = float("nan")
         if timed:
-            run(echoes[:1])
+            run(echoes[:1], op)
             start = time.perf_counter()
-        recon = run(echoes)
+        maps = run(echoes, op)
         if timed:
             elapsed = (time.perf_counter() - start) / len(echoes)
-        mses, ssims = image_quality(truth, recon, cfg.side_cells)
-        reports[method] = MetricsReport(method, mses, ssims, elapsed)
-        recons[method] = recon
-    return reports, recons
+        reports[method] = MetricsReport(maps, *image_quality(truth, maps, side), elapsed)
+    return reports
 
 
-def _write_grids(out_dir, prefix, truth, recons, side, n_samples=8):
-    for method, recon in recons.items():
-        clamped = np.clip(recon, 0.0, 1.0)
-        rows = []
-        for i in range(min(n_samples, len(truth))):
-            t = truth[i].reshape(side, side)
-            r = clamped[i].reshape(side, side)
-            rows.append([t, r, np.abs(t - r)])
+def _write_samples(path, column: str, labels, reports: dict[str, MetricsReport]) -> None:
+    """Per-sample CSV: one (method, label, mse, ssim) row per method and
+    sample, the label column named ``column``."""
+    rows = [
+        (m, name, rep.per_sample_mse[i], rep.per_sample_ssim[i])
+        for m, rep in reports.items()
+        for i, name in enumerate(labels)
+    ]
+    rio.write_csv(path, ["method", column, "mse", "ssim"], rows)
+
+
+def _write_grids(out_dir, prefix, truth, reports, side, n_samples=8):
+    """One PGM per method: rows of truth, clamped reconstruction and error."""
+    truth = truth[:n_samples].reshape(-1, side, side)
+    for method, rep in reports.items():
+        recon = np.clip(rep.maps[:n_samples], 0.0, 1.0).reshape(-1, side, side)
+        rows = [[t, r, np.abs(t - r)] for t, r in zip(truth, recon)]
         rio.write_pgm(Path(out_dir) / f"{prefix}_{method}.pgm", rio.image_grid(rows))
+
+
+def _write_curve(path, points) -> None:
+    """SSIM-curve raster of (x, ssim) points; fewer than two draw no curve."""
+    if len(points) >= 2:
+        rio.write_pgm(path, rio.curve_raster(*zip(*points)))
 
 
 def compare_methods(
@@ -228,7 +245,7 @@ def compare_methods(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports, recons = run_methods(cfg, op, models, test_maps, test_echoes, timed=True)
+    reports = run_methods(_runners(cfg, models), op, test_maps, test_echoes, timed=True)
 
     summary_rows = [(m, len(test_maps), rep.mean_mse, rep.mean_ssim) for m, rep in reports.items()]
     rio.write_csv(
@@ -237,25 +254,16 @@ def compare_methods(
         summary_rows,
         comments=[REFERENCE_FULL_SCALE],
     )
-    sample_rows = []
-    for m, rep in reports.items():
-        for i in range(len(test_maps)):
-            sample_rows.append((m, i, rep.per_sample_mse[i], rep.per_sample_ssim[i]))
-    rio.write_csv(
-        out_dir / "comparison_samples.csv",
-        ["method", "sample", "mse", "ssim"],
-        sample_rows,
-    )
+    _write_samples(out_dir / "comparison_samples.csv", "sample", range(len(test_maps)), reports)
     with open(out_dir / "timing.txt", "w", encoding="utf-8") as f:
         f.write("# wall-clock seconds per sample; not covered by determinism\n")
         for m, rep in reports.items():
             f.write(f"{m} {rep.runtime_per_sample:.6f}\n")
-    _write_grids(out_dir, "grid", test_maps, recons, cfg.side_cells)
+    _write_grids(out_dir, "grid", test_maps, reports, cfg.side_cells)
     return reports
 
 
 def sweep_snr(
-    cfg: ExperimentConfig,
     op: ImagingOperator,
     model,
     test_maps: np.ndarray,
@@ -271,26 +279,19 @@ def sweep_snr(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = [None] + list(snr_list)
+    runners = {model.kind: partial(predict_maps, model)}
     results = []
-    rows = []
-    for k, snr in enumerate(entries):
+    for k, snr in enumerate([None, *snr_list]):
         echoes = noisy_echoes(test_echoes, snr, seed + k)
-        recon = predict_maps(model, echoes, op)
-        mses, ssims = image_quality(test_maps, recon, cfg.side_cells)
-        rep = MetricsReport(model.kind, mses, ssims, float("nan"))
-        results.append((snr, rep))
-        rows.append((("none" if snr is None else snr), rep.mean_mse, rep.mean_ssim))
+        results.append((snr, run_methods(runners, op, test_maps, echoes)[model.kind]))
     rio.write_csv(
         out_dir / "sweep_snr.csv",
         ["snr_db", "mean_mse", "mean_ssim"],
-        rows,
+        [("none" if snr is None else snr, rep.mean_mse, rep.mean_ssim) for snr, rep in results],
         comments=[f"model = {model.kind}", f"n_samples = {len(test_maps)}"],
     )
-    numeric = [(s, rep.mean_ssim) for s, rep in results if s is not None]
-    if len(numeric) >= 2:
-        xs, ys = zip(*numeric)
-        rio.write_pgm(out_dir / "sweep_snr_ssim.pgm", rio.curve_raster(xs, ys))
+    curve = [(snr, rep.mean_ssim) for snr, rep in results if snr is not None]
+    _write_curve(out_dir / "sweep_snr_ssim.pgm", curve)
     return results
 
 
@@ -306,19 +307,18 @@ def sweep_center_frequency(
     The sensing operator is rebuilt per frequency: the classic solver and
     the frozen-block network recompute their step from the new operator,
     while learned block scalars stay fixed. Network weights never change.
+    ``sweep_freq.csv`` holds one row per listed frequency and method, a
+    repeated frequency included.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    all_reports: dict[float, dict[str, MetricsReport]] = {}
-    curve = []
+    runners = _runners(cfg, models_by_kind)
+    rows, curve, all_reports = [], [], {}
     for f0_ghz in f0_list_ghz:
         op_f = build_operator(cfg, f0_hz=f0_ghz * 1e9)
-        echoes = synthesize_echoes(op_f.matrix, test_maps)
-        reports, _ = run_methods(cfg, op_f, models_by_kind, test_maps, echoes)
+        reports = run_methods(runners, op_f, test_maps, synthesize_echoes(op_f.matrix, test_maps))
         all_reports[f0_ghz] = reports
-        for m, rep in reports.items():
-            rows.append((f0_ghz, m, rep.mean_mse, rep.mean_ssim))
+        rows += [(f0_ghz, m, rep.mean_mse, rep.mean_ssim) for m, rep in reports.items()]
         if "lfista_resnet" in reports:
             curve.append((f0_ghz, reports["lfista_resnet"].mean_ssim))
     rio.write_csv(
@@ -327,9 +327,7 @@ def sweep_center_frequency(
         rows,
         comments=[f"n_samples = {len(test_maps)}"],
     )
-    if len(curve) >= 2:
-        xs, ys = zip(*curve)
-        rio.write_pgm(out_dir / "sweep_freq_ssim.pgm", rio.curve_raster(xs, ys))
+    _write_curve(out_dir / "sweep_freq_ssim.pgm", curve)
     return all_reports
 
 
@@ -341,14 +339,8 @@ def unseen_shape_eval(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rasters = shape_rasters()
-    names = list(rasters)
-    maps = rasters_to_maps(np.stack([rasters[n] for n in names]), cfg.side_cells)
-    echoes = synthesize_echoes(op.matrix, maps)
-    reports, recons = run_methods(cfg, op, models, maps, echoes)
-    rows = []
-    for m, rep in reports.items():
-        for i, name in enumerate(names):
-            rows.append((m, name, rep.per_sample_mse[i], rep.per_sample_ssim[i]))
-    rio.write_csv(out_dir / "shapes.csv", ["method", "shape", "mse", "ssim"], rows)
-    _write_grids(out_dir, "shapes_grid", maps, recons, cfg.side_cells, n_samples=len(names))
+    maps = rasters_to_maps(np.stack(list(rasters.values())), cfg.side_cells)
+    reports = run_methods(_runners(cfg, models), op, maps, synthesize_echoes(op.matrix, maps))
+    _write_samples(out_dir / "shapes.csv", "shape", list(rasters), reports)
+    _write_grids(out_dir, "shapes_grid", maps, reports, cfg.side_cells, n_samples=len(maps))
     return reports

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DivergedError
 from .fista import ImagingOperator, momentum_coeffs
 from .nn_ops import (
     conv2d_3x3_backward,
@@ -168,11 +169,6 @@ class LFistaResNet:
             caches["tail"] = c_tail
         return out.reshape(n, self.side * self.side), caches
 
-    def refine(self, coarse: np.ndarray) -> np.ndarray:
-        """Refinement head alone: coarse (n, P) -> refined (n, P)."""
-        out, _ = self._head(np.atleast_2d(coarse), collect=False)
-        return out
-
     def forward(self, echoes: np.ndarray, op: ImagingOperator | None = None) -> np.ndarray:
         """Full reconstruction, echoes (n, m) or (m,) -> maps (n, P) or (P,)."""
         single = np.asarray(echoes).ndim == 1
@@ -305,13 +301,19 @@ class EchoDnn:
 
 
 def predict_maps(model, echoes: np.ndarray, op: ImagingOperator | None = None, chunk: int = 64) -> np.ndarray:
-    """Forward a large echo batch in chunks to bound the activation memory."""
+    """Forward a large echo batch in chunks to bound the activation memory.
+
+    Raises DivergedError naming the first echo whose map is not finite."""
     echoes = np.atleast_2d(np.asarray(echoes))
     parts = [
         model.forward(echoes[start : start + chunk], op)
         for start in range(0, len(echoes), chunk)
     ]
-    return np.concatenate(parts, axis=0)
+    maps = np.concatenate(parts, axis=0)
+    bad = np.flatnonzero(~np.isfinite(maps).all(axis=1))
+    if bad.size:
+        raise DivergedError(f"non-finite map from echo {bad[0]}")
+    return maps
 
 
 def build_model(kind: str, op: ImagingOperator, cfg, seed: int):

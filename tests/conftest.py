@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radarqi.config import ExperimentConfig, apply_fast_profile
+from radarqi.config import ExperimentConfig
 from radarqi.fista import ImagingOperator
 from radarqi.harness import build_scene
 

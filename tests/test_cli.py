@@ -171,6 +171,36 @@ def test_non_finite_echo_exits_4(two_runs):
     assert "iteration" in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["fista_resnet", "lfista_resnet", "dnn"])
+def test_infer_on_a_non_finite_echo_exits_4(two_runs, tmp_path, kind):
+    workdir, config, (run1, _) = two_runs
+    echoes, meta = rio.load_echoes(run1 / "echoes_test.bin")
+    echoes[3, 0] = np.nan
+    path = tmp_path / "nan_echo.bin"
+    keys = ("f0_hz", "bandwidth_hz", "n_freqs", "n_antennas", "snr_db", "seed")
+    rio.save_echoes(path, echoes, **{k: meta[k] for k in keys})
+    proc = run_cli(
+        ["infer", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+         "--echoes", str(path), "--checkpoint", str(run1 / f"checkpoint_{kind}.ckpt")],
+        workdir,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "non-finite map from echo 3" in proc.stderr
+    assert not list((tmp_path / "out").glob("*.pgm"))
+
+
+def test_sweep_freq_writes_a_row_per_listed_value(two_runs, tmp_path):
+    workdir, config, (run1, _) = two_runs
+    out = tmp_path / "freq"
+    cli_ok(["sweep-freq", "--config", str(config), "--out-dir", str(out),
+            "--checkpoint-dir", str(run1), "--f0-ghz", "30", "30"], workdir)
+    lines = (out / "sweep_freq.csv").read_text().splitlines()
+    assert lines[:2] == ["# n_samples = 8", "f0_ghz,method,mean_mse,mean_ssim"]
+    methods = ["fista", "fista_resnet", "lfista_resnet", "dnn"]
+    assert [line.split(",")[:2] for line in lines[2:]] == [["30.0", m] for m in methods] * 2
+    assert lines[2:6] == lines[6:10]
+
+
 
 @pytest.mark.parametrize(
     "changes",

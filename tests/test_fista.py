@@ -12,7 +12,6 @@ from radarqi.fista import (
     soft_threshold,
 )
 from radarqi.forward import synthesize_echoes
-from radarqi.geometry import build_doi_grid, build_sweep, build_ula
 
 
 class TestSoftThreshold:

@@ -111,7 +111,7 @@ class TestUnrolledForward:
 class TestRefinementHead:
     def test_zero_input_zero_biases_zero_output(self):
         model = small_model(seed=1)
-        out = model.refine(np.zeros((2, 16)))
+        out = model._head(np.zeros((2, 16)), collect=False)[0]
         np.testing.assert_array_equal(out, 0.0)
 
     def test_zeroed_res_kernels_reduce_to_skip(self):
@@ -127,7 +127,7 @@ class TestRefinementHead:
         img = coarse.reshape(2, 4, 4, 1)
         h0 = np.maximum(naive_conv(img, p["head_kernel"], p["head_bias"]), 0.0)
         want = naive_conv(h0, p["tail_kernel"], p["tail_bias"]).reshape(2, 16)
-        np.testing.assert_allclose(model.refine(coarse), want, atol=1e-12)
+        np.testing.assert_allclose(model._head(coarse, collect=False)[0], want, atol=1e-12)
 
     def test_matches_straight_line_reimplementation(self, table1_op):
         model = LFistaResNet(table1_op, seed=11)
@@ -145,7 +145,7 @@ class TestRefinementHead:
             u = naive_conv(u, p[f"res{rb}_conv2_kernel"], p[f"res{rb}_conv2_bias"])
             h = np.maximum(u + h, 0.0)
         want = naive_conv(h, p["tail_kernel"], p["tail_bias"]).reshape(2, 784)
-        np.testing.assert_allclose(model.refine(coarse), want, atol=1e-10)
+        np.testing.assert_allclose(model._head(coarse, collect=False)[0], want, atol=1e-10)
 
 
 class TestModelForward:
@@ -154,7 +154,7 @@ class TestModelForward:
         rng = np.random.default_rng(5)
         echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
         np.testing.assert_array_equal(
-            model.forward(echoes), model.refine(model.lfista_stage(echoes))
+            model.forward(echoes), model._head(model.lfista_stage(echoes), collect=False)[0]
         )
 
     def test_untrained_point_target_is_finite(self, table1_scene, table1_op):

@@ -10,10 +10,16 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import finite_difference_grad, relative_grad_error
 from radarqi.config import ExperimentConfig
 from radarqi.errors import FormatError
-from radarqi.fista import ImagingOperator
+from radarqi.fista import FistaConfig, ImagingOperator, fista_solve_many
 from radarqi.forward import noisy_echoes, synthesize_echoes
-from radarqi.harness import build_scene, load_trained_model, prepare_dataset, unseen_shape_eval
-from radarqi.models import EchoDnn, LFistaResNet, build_model
+from radarqi.harness import (
+    build_scene,
+    compare_methods,
+    load_trained_model,
+    prepare_dataset,
+    unseen_shape_eval,
+)
+from radarqi.models import EchoDnn, build_model, predict_maps
 from radarqi.training import (
     CHECKPOINT_VERSION,
     AdamState,
@@ -479,3 +485,19 @@ class TestUnseenShapesOffNativeGrid:
             assert np.all(np.isfinite(rep.per_sample_mse))
             assert np.all(np.isfinite(rep.per_sample_ssim))
         assert (tmp_path / "shapes.csv").exists()
+
+
+class TestCompareMethods:
+    def test_reports_carry_each_methods_maps(self, tmp_path):
+        cfg, op, data, _ = tiny_training_setup(epochs=0)
+        kinds = ("fista_resnet", "lfista_resnet", "dnn")
+        models = {k: build_model(k, op, cfg, cfg.seed) for k in kinds}
+        maps, echoes = data.val_maps, data.val_echoes
+        reports = compare_methods(cfg, op, models, maps, echoes, tmp_path)
+        assert list(reports) == ["fista", "fista_resnet", "lfista_resnet", "dnn"]
+        solver_cfg = FistaConfig(lam=cfg.fista_lambda, max_iter=cfg.fista_max_iter)
+        np.testing.assert_array_equal(
+            reports["fista"].maps, fista_solve_many(op.matrix, echoes, solver_cfg, op)
+        )
+        for kind, model in models.items():
+            np.testing.assert_array_equal(reports[kind].maps, predict_maps(model, echoes, op))
