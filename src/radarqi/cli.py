@@ -7,7 +7,10 @@ inputs made for another scene: an ``eval --echoes`` container whose sweep or
 array differs from the config or whose echo count differs from the test
 split, and a checkpoint trained on another scene. It covers corrupt inputs
 too: an echo container whose header values make no scene, and a checkpoint
-whose ``[config]`` section is not a valid config.
+whose ``[config]`` section is not a valid config. An echo container or a
+checkpoint written before the shared array layout of :mod:`radarqi.io`
+exits 3 with "unsupported ... version"; ``radarqi synth`` or ``radarqi
+train`` writes a new one.
 """
 
 from __future__ import annotations
@@ -222,10 +225,10 @@ def cmd_sweep_freq(args) -> int:
     op, bundle = build_experiment(cfg)
     n = min(args.samples, len(bundle.test_maps))
     models = _load_models(cfg, op, args)
-    all_reports = sweep_center_frequency(
+    results = sweep_center_frequency(
         cfg, models, bundle.test_maps[:n], args.f0_ghz or F0_GRID_GHZ, out
     )
-    for f0_ghz, reports in all_reports.items():
+    for f0_ghz, reports in results:
         summary = " ".join(
             f"{m}={rep.mean_ssim:.3f}" for m, rep in reports.items()
         )

@@ -40,14 +40,15 @@ _DIGIT_GLYPHS = {
 }
 
 
-def _read_exact(f, n: int, offset: int, path) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
+def _take(data: bytes, n: int, offset: int, path) -> bytes:
+    """The first ``n`` bytes of ``data``, which was read from byte ``offset``
+    of ``path``; a shorter ``data`` raises FormatError."""
+    if len(data) < n:
         raise FormatError(
             f"{path}: truncated at byte offset {offset + len(data)}, "
             f"expected {n} more bytes"
         )
-    return data
+    return data[:n]
 
 
 def _open_maybe_gzip(path):
@@ -67,7 +68,7 @@ def read_idx_images(path) -> np.ndarray:
         the message carries the byte offset of the problem.
     """
     with _open_maybe_gzip(path) as f:
-        header = _read_exact(f, 16, 0, path)
+        header = _take(f.read(16), 16, 0, path)
         magic, count, rows, cols = struct.unpack(">iiii", header)
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(
@@ -81,7 +82,8 @@ def read_idx_images(path) -> np.ndarray:
                 f"{path}: dimension mismatch {rows}x{cols} at byte offset 8, "
                 "expected 28x28"
             )
-        data = _read_exact(f, count * rows * cols, 16, path)
+        # the rest of the file, so a corrupt count cannot size the read
+        data = _take(f.read(), count * rows * cols, 16, path)
     return np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
 
 

@@ -301,34 +301,33 @@ def sweep_center_frequency(
     test_maps: np.ndarray,
     f0_list_ghz,
     out_dir,
-) -> dict[float, dict[str, MetricsReport]]:
+) -> list[tuple[float, dict[str, MetricsReport]]]:
     """Re-synthesize test echoes at shifted center frequencies and evaluate.
 
     The sensing operator is rebuilt per frequency: the classic solver and
     the frozen-block network recompute their step from the new operator,
     while learned block scalars stay fixed. Network weights never change.
+    Returns ``(f0_ghz, reports)`` per listed frequency, in the listed order;
     ``sweep_freq.csv`` holds one row per listed frequency and method, a
     repeated frequency included.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runners = _runners(cfg, models_by_kind)
-    rows, curve, all_reports = [], [], {}
+    results = []
     for f0_ghz in f0_list_ghz:
         op_f = build_operator(cfg, f0_hz=f0_ghz * 1e9)
-        reports = run_methods(runners, op_f, test_maps, synthesize_echoes(op_f.matrix, test_maps))
-        all_reports[f0_ghz] = reports
-        rows += [(f0_ghz, m, rep.mean_mse, rep.mean_ssim) for m, rep in reports.items()]
-        if "lfista_resnet" in reports:
-            curve.append((f0_ghz, reports["lfista_resnet"].mean_ssim))
+        echoes = synthesize_echoes(op_f.matrix, test_maps)
+        results.append((f0_ghz, run_methods(runners, op_f, test_maps, echoes)))
     rio.write_csv(
         out_dir / "sweep_freq.csv",
         ["f0_ghz", "method", "mean_mse", "mean_ssim"],
-        rows,
+        [(f0, m, rep.mean_mse, rep.mean_ssim) for f0, reps in results for m, rep in reps.items()],
         comments=[f"n_samples = {len(test_maps)}"],
     )
+    curve = [(f0, reps["lfista_resnet"].mean_ssim) for f0, reps in results if "lfista_resnet" in reps]
     _write_curve(out_dir / "sweep_freq_ssim.pgm", curve)
-    return all_reports
+    return results
 
 
 def unseen_shape_eval(

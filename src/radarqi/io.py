@@ -1,12 +1,22 @@
-"""On-disk artifact formats: the container framing shared by echo files and
+"""On-disk artifact formats: the array container shared by echo files and
 checkpoints, PGM images, CSV tables.
 
-A container is a ``<magic> <version>`` line, UTF-8 header lines, a
-``[binary]`` line, then a little-endian binary payload.
-:func:`write_container` and :func:`read_container` own that framing;
+A container is one layout for both formats::
+
+    <magic> <version>
+    <header lines>
+    [arrays]
+    <name> <d0,d1,...>        one line per array
+    [binary]
+    <each array's little-endian bytes, back to back in manifest order>
+
+:func:`write_container` writes it and :func:`read_container` alone reads
+it: every byte offset and size is computed there, and every framing or
+manifest fault raises :class:`~radarqi.errors.FormatError`.
 :func:`header_fields` reads ``key = value`` header lines. Echo containers
-(here) and checkpoints (:mod:`radarqi.training`) lay out their own header
-and payload inside it.
+(version 2, here) hold their synthesis metadata and one ``echoes`` array of
+``<c16``; checkpoints (version 3, :mod:`radarqi.training`) hold their
+metadata and config, and ``<f8`` parameters in model order.
 
 Everything written here is byte-deterministic given identical inputs:
 floats are serialized with round-tripping ``repr``, arrays as little-endian
@@ -15,6 +25,7 @@ binary64, images as binary PGM (P5).
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +33,7 @@ import numpy as np
 from .errors import FormatError
 
 ECHO_MAGIC = "radarqi-echoes"
-ECHO_VERSION = 1
+ECHO_VERSION = 2
 
 
 def fmt_float(x) -> str:
@@ -31,25 +42,34 @@ def fmt_float(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Container framing
+# Array container
 # ---------------------------------------------------------------------------
 
 
-def write_container(path, magic: str, version: int, header_lines, blobs) -> None:
-    """Write ``<magic> <version>``, the header lines, ``[binary]``, then the
-    payload blobs back to back."""
-    text = "".join(f"{line}\n" for line in [f"{magic} {version}", *header_lines, "[binary]"])
+def write_container(path, magic: str, version: int, header_lines, arrays: dict, dtype: str) -> None:
+    """Write ``<magic> <version>``, the header lines, the ``[arrays]``
+    manifest of ``<name> <d0,d1,...>`` lines, ``[binary]``, then each array
+    as ``dtype`` bytes in the dict's order."""
+    manifest = [f"{name} {','.join(map(str, arr.shape))}" for name, arr in arrays.items()]
+    text = "".join(
+        f"{line}\n"
+        for line in [f"{magic} {version}", *header_lines, "[arrays]", *manifest, "[binary]"]
+    )
     with open(path, "wb") as f:
         f.write(text.encode("utf-8"))
-        for blob in blobs:
-            f.write(blob)
+        for arr in arrays.values():
+            f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def read_container(path, magic: str, version: int, what: str) -> tuple[list[str], bytes]:
-    """The header lines after the magic line, and the payload, of a container.
+def read_container(path, magic: str, version: int, what: str, dtype: str) -> tuple[list[str], dict]:
+    """The header lines after the magic line, and ``{name: array}`` in
+    manifest order; each array is a writable copy in native byte order.
 
     Raises :class:`FormatError` naming ``what`` (e.g. "echo container") when
-    the separator or the magic is missing or the version is not ``version``.
+    the separator, the magic or the ``[arrays]`` section is missing, the
+    version is not ``version``, a manifest line is malformed, has a negative
+    dimension or repeats a name, an array runs past the end of the payload,
+    or bytes follow the last array.
     """
     raw = Path(path).read_bytes()
     sep = b"\n[binary]\n"
@@ -65,7 +85,37 @@ def read_container(path, magic: str, version: int, what: str) -> tuple[list[str]
     found = lines[0][len(magic) :].strip()
     if found != str(version):
         raise FormatError(f"{path}: unsupported {what} version {found!r}")
-    return lines[1:], raw[pos + len(sep) :]
+    if "[arrays]" not in lines:
+        raise FormatError(f"{path}: missing [arrays] section")
+    at = lines.index("[arrays]")
+
+    payload = memoryview(raw)[pos + len(sep) :]
+    item = np.dtype(dtype)
+    arrays: dict = {}
+    end = 0
+    for line in lines[at + 1 :]:
+        try:
+            name, dims = line.split()
+            shape = tuple(int(d) for d in dims.split(","))
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad array manifest line {line!r}") from exc
+        if min(shape) < 0:
+            raise FormatError(f"{path}: negative dimension in manifest line {line!r}")
+        if name in arrays:
+            raise FormatError(f"{path}: array {name} is listed twice")
+        start, end = end, end + math.prod(shape) * item.itemsize
+        if end > len(payload):
+            raise FormatError(
+                f"{path}: array {name} needs bytes up to {end}, payload has {len(payload)}"
+            )
+        data = np.frombuffer(payload[start:end], dtype=item).reshape(shape)
+        arrays[name] = data.astype(item.newbyteorder("="))
+    if len(payload) > end:
+        raise FormatError(
+            f"{path}: {len(payload) - end} bytes past the last array, which ends at "
+            f"payload byte {end}"
+        )
+    return lines[1:at], arrays
 
 
 def header_fields(lines) -> dict[str, str]:
@@ -79,7 +129,7 @@ def header_fields(lines) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Echo container: ``key = value`` header + interleaved re/im binary64
+# Echo container: ``key = value`` header + one (count, length) ``echoes`` array
 # ---------------------------------------------------------------------------
 
 
@@ -94,11 +144,7 @@ def save_echoes(
     seed: int,
 ) -> None:
     """Write (count, length) complex echoes with their synthesis metadata."""
-    echoes = np.atleast_2d(np.asarray(echoes, dtype=np.complex128))
-    count, length = echoes.shape
     header = [
-        f"count = {count}",
-        f"length = {length}",
         f"f0_hz = {fmt_float(f0_hz)}",
         f"bandwidth_hz = {fmt_float(bandwidth_hz)}",
         f"n_freqs = {n_freqs}",
@@ -106,16 +152,20 @@ def save_echoes(
         f"snr_db = {'none' if snr_db is None else fmt_float(snr_db)}",
         f"seed = {seed}",
     ]
-    write_container(path, ECHO_MAGIC, ECHO_VERSION, header, [echoes.astype("<c16").tobytes()])
+    arrays = {"echoes": np.atleast_2d(np.asarray(echoes, dtype=np.complex128))}
+    write_container(path, ECHO_MAGIC, ECHO_VERSION, header, arrays, "<c16")
 
 
 def load_echoes(path) -> tuple[np.ndarray, dict]:
-    """Read an echo container; returns (echoes, header-metadata dict)."""
-    lines, payload = read_container(path, ECHO_MAGIC, ECHO_VERSION, "echo container")
+    """Read an echo container; returns (echoes, header-metadata dict), the
+    dict with ``count`` and ``length`` from the echoes' shape."""
+    lines, arrays = read_container(path, ECHO_MAGIC, ECHO_VERSION, "echo container", "<c16")
+    shapes = {name: arr.shape for name, arr in arrays.items()}
+    if list(shapes) != ["echoes"] or len(shapes["echoes"]) != 2:
+        raise FormatError(f"{path}: expected one 2-D echoes array, found {shapes}")
+    echoes = arrays["echoes"]
     meta: dict = header_fields(lines)
     try:
-        count = int(meta["count"])
-        length = int(meta["length"])
         meta["f0_hz"] = float(meta["f0_hz"])
         meta["bandwidth_hz"] = float(meta["bandwidth_hz"])
         meta["n_freqs"] = int(meta["n_freqs"])
@@ -124,18 +174,13 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
         meta["seed"] = int(meta["seed"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad echo container header ({exc})") from exc
-    if length != meta["n_freqs"] * meta["n_antennas"]:
+    meta["count"], meta["length"] = echoes.shape
+    if meta["length"] != meta["n_freqs"] * meta["n_antennas"]:
         raise FormatError(
-            f"{path}: echo length {length} is not n_freqs * n_antennas = "
+            f"{path}: echo length {meta['length']} is not n_freqs * n_antennas = "
             f"{meta['n_freqs']} * {meta['n_antennas']}"
         )
-    expected = count * length * 2 * 8
-    if len(payload) != expected:
-        raise FormatError(f"{path}: binary payload is {len(payload)} bytes, expected {expected}")
-    echoes = np.frombuffer(payload, dtype="<c16").reshape(count, length)
-    meta["count"] = count
-    meta["length"] = length
-    return echoes.astype(np.complex128), meta
+    return echoes, meta
 
 
 # ---------------------------------------------------------------------------

@@ -107,12 +107,6 @@ class LFistaResNet:
     def kind(self) -> str:
         return "fista_resnet" if self.frozen_blocks else "lfista_resnet"
 
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
-
-    def n_trainable(self) -> int:
-        return sum(self.params[n].size for n in self.trainable_names)
-
     def block_scalars(self, op: ImagingOperator):
         """Per-block (step, threshold) vectors for the given operator."""
         if self.frozen_blocks:
@@ -267,11 +261,6 @@ class EchoDnn:
             "dense2_bias": np.zeros(n_cells),
         }
         self.trainable_names = list(self.params)
-
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
-
-    n_trainable = n_params
 
     @staticmethod
     def echo_features(echoes: np.ndarray) -> np.ndarray:

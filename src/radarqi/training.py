@@ -1,9 +1,10 @@
 """Training: hybrid loss, Adam with a reduce-on-plateau schedule, fit loop,
 and the versioned checkpoint file format.
 
-A checkpoint holds what restoring a model reads back, in the container
-framing of :mod:`radarqi.io`: the model kind, the epoch kept and its
-validation loss, the training config, and the parameters in model order.
+A checkpoint (version 3) holds what restoring a model reads back, in the
+array container of :mod:`radarqi.io`: the model kind, the epoch kept and
+its validation loss and the training config as header lines, and the
+parameters as ``<f8`` arrays named as in the model, in model order.
 Optimizer state stays in memory; nothing resumes a fit.
 
 The loss on one sample combines image fidelity, sparsity of the error, and
@@ -32,7 +33,7 @@ from .metrics import image_quality
 from .models import predict_maps
 
 CHECKPOINT_MAGIC = "radarqi-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -155,86 +156,30 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write the checkpoint container: metadata, the ``[config]`` section,
-    the ``[arrays]`` manifest of ``param.<name> <shape> <offset>`` lines,
-    then each parameter as little-endian binary64 in model order."""
+    """Write the checkpoint container: metadata and the ``[config]`` section
+    as header lines, the parameters as ``<f8`` arrays in model order."""
     lines = [
         f"kind = {ckpt.kind}",
         f"epoch = {ckpt.epoch}",
         f"best_val_loss = {fmt_float(ckpt.best_val_loss)}",
         "[config]",
         *ckpt.config.to_text().splitlines(),
-        "[arrays]",
     ]
-    offset = 0
-    blobs = []
-    for name, arr in ckpt.params.items():
-        shape = ",".join(str(d) for d in arr.shape) or "1"
-        lines.append(f"param.{name} {shape} {offset}")
-        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        offset += len(blobs[-1])
-    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, lines, blobs)
-
-
-def _section(lines: list, name: str, start: int, path) -> int:
-    try:
-        return lines.index(name, start)
-    except ValueError:
-        raise FormatError(f"{path}: missing {name} section") from None
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, lines, ckpt.params, "<f8")
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; every inconsistency, including a config that
-    :func:`~radarqi.config.config_from_text` rejects, raises FormatError.
-
-    The manifest must list each parameter once, and each array must start
-    at the payload byte where the previous one ends, as
-    :func:`save_checkpoint` writes them.
-    """
-    lines, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
-    config_at = _section(lines, "[config]", 0, path)
-    arrays_at = _section(lines, "[arrays]", config_at, path)
-    meta = header_fields(lines[:config_at])
+    :func:`~radarqi.config.config_from_text` rejects, raises FormatError."""
+    lines, params = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", "<f8")
+    if "[config]" not in lines:
+        raise FormatError(f"{path}: missing [config] section")
+    at = lines.index("[config]")
+    meta = header_fields(lines[:at])
     try:
-        config = config_from_text("\n".join(lines[config_at + 1 : arrays_at]))
+        config = config_from_text("\n".join(lines[at + 1 :]))
     except ConfigError as exc:
         raise FormatError(f"{path}: bad checkpoint config ({exc})") from exc
-
-    params: dict = {}
-    used = 0
-    for line in lines[arrays_at + 1 :]:
-        try:
-            name, shape_text, offset_text = line.split()
-            shape = tuple(int(d) for d in shape_text.split(","))
-            offset = int(offset_text)
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad array manifest line {line!r}") from exc
-        if offset < 0 or min(shape) < 0:
-            raise FormatError(f"{path}: negative offset or dimension in manifest line {line!r}")
-        group, _, base = name.partition(".")
-        if group != "param":
-            raise FormatError(f"{path}: unknown array group {group!r}")
-        if base in params:
-            raise FormatError(f"{path}: array {name} is listed twice")
-        if offset != used:
-            raise FormatError(
-                f"{path}: array {name} starts at payload byte {offset}, but the "
-                f"previous array ends at byte {used}"
-            )
-        end = offset + int(np.prod(shape)) * 8
-        if end > len(payload):
-            raise FormatError(
-                f"{path}: array {name} needs bytes up to {end}, payload has "
-                f"{len(payload)}"
-            )
-        used = end
-        params[base] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
-    if len(payload) > used:
-        raise FormatError(
-            f"{path}: {len(payload) - used} bytes past the last array, which ends at "
-            f"payload byte {used}"
-        )
-
     try:
         return Checkpoint(
             kind=meta["kind"],

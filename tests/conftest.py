@@ -49,25 +49,6 @@ def table1_op(table1_scene):
     return ImagingOperator(matrix)
 
 
-@pytest.fixture(scope="session")
-def small_scene():
-    """Reduced problem for fast solver/model tests: 100 cells, 30 samples."""
-    cfg = ExperimentConfig(
-        side_cells=10,
-        cell_size_m=0.01,
-        n_antennas=3,
-        n_freqs=10,
-        n_blocks=6,
-        train_size=24,
-        val_size=8,
-        test_size=8,
-        epochs=2,
-        batch_size=8,
-    )
-    grid, array, sweep, matrix = build_scene(cfg)
-    return cfg, grid, array, sweep, matrix
-
-
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -192,13 +192,16 @@ def test_infer_on_a_non_finite_echo_exits_4(two_runs, tmp_path, kind):
 def test_sweep_freq_writes_a_row_per_listed_value(two_runs, tmp_path):
     workdir, config, (run1, _) = two_runs
     out = tmp_path / "freq"
-    cli_ok(["sweep-freq", "--config", str(config), "--out-dir", str(out),
-            "--checkpoint-dir", str(run1), "--f0-ghz", "30", "30"], workdir)
+    proc = cli_ok(["sweep-freq", "--config", str(config), "--out-dir", str(out),
+                   "--checkpoint-dir", str(run1), "--f0-ghz", "30", "30"], workdir)
     lines = (out / "sweep_freq.csv").read_text().splitlines()
     assert lines[:2] == ["# n_samples = 8", "f0_ghz,method,mean_mse,mean_ssim"]
     methods = ["fista", "fista_resnet", "lfista_resnet", "dnn"]
     assert [line.split(",")[:2] for line in lines[2:]] == [["30.0", m] for m in methods] * 2
     assert lines[2:6] == lines[6:10]
+    printed = proc.stdout.splitlines()
+    assert len(printed) == 2 and printed[0] == printed[1]
+    assert printed[0].startswith("f0 30 GHz ssim: fista=")
 
 
 

@@ -50,6 +50,20 @@ class TestIdxFormat:
         with pytest.raises(FormatError, match="offset 116"):
             read_idx_images(path)
 
+    def test_corrupt_count_reports_truncation(self, tmp_path):
+        # a count of 2**31 - 1 over 100 bytes must not size a 1.7 TB read
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack(">iiii", IDX_IMAGE_MAGIC, 2**31 - 1, 28, 28) + b"\0" * 100)
+        with pytest.raises(FormatError, match="truncated at byte offset 116"):
+            read_idx_images(path)
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        images = np.full((2, 28, 28), 7, dtype=np.uint8)
+        path = tmp_path / "long.bin"
+        write_idx_images(path, images)
+        path.write_bytes(path.read_bytes() + b"\1" * 50)
+        np.testing.assert_array_equal(read_idx_images(path), images)
+
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "odd.bin"
         path.write_bytes(struct.pack(">iiii", 0x00000803, 1, 14, 14) + b"\0" * 196)

@@ -46,10 +46,20 @@ class TestEchoContainer:
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "echoes.bin"
         write_container(path)
-        data = path.read_bytes().replace(b"radarqi-echoes 1", b"radarqi-echoes 2", 1)
-        (tmp_path / "v2.bin").write_bytes(data)
+        current = f"{ECHO_MAGIC} {ECHO_VERSION}".encode()
+        later = f"{ECHO_MAGIC} {ECHO_VERSION + 1}".encode()
+        (tmp_path / "later.bin").write_bytes(path.read_bytes().replace(current, later, 1))
         with pytest.raises(FormatError, match="version"):
-            load_echoes(tmp_path / "v2.bin")
+            load_echoes(tmp_path / "later.bin")
+
+    @pytest.mark.parametrize("manifest", ["echoes 24", "echoes 4,6\nextra 0"], ids=["1d", "extra"])
+    def test_one_2d_echoes_array_required(self, tmp_path, manifest):
+        path = tmp_path / "echoes.bin"
+        write_container(path)
+        head, _, tail = path.read_bytes().partition(b"echoes 4,6\n")
+        (tmp_path / "bad.bin").write_bytes(head + manifest.encode() + b"\n" + tail)
+        with pytest.raises(FormatError, match="expected one 2-D echoes array"):
+            load_echoes(tmp_path / "bad.bin")
 
     def test_length_must_match_sweep_and_array(self, tmp_path):
         # 6 samples per echo, but the header claims 4 frequencies x 2 antennas
@@ -81,6 +91,7 @@ def write_checkpoint(path):
         ("magic", "not a radarqi"),
         ("version", "unsupported .* version"),
         ("encoding", "not UTF-8"),
+        ("arrays", "missing \\[arrays\\] section"),
     ],
 )
 def test_damaged_framing_rejected(tmp_path, write, load, magic, version, damage, message):
@@ -92,10 +103,72 @@ def test_damaged_framing_rejected(tmp_path, write, load, magic, version, damage,
         "magic": (head, b"radarqi-other 1"),
         "version": (head, head + b"0"),
         "encoding": (head, head + b"\n\xff"),
+        "arrays": (b"\n[arrays]\n", b"\n[arrayz]\n"),
     }[damage]
     (tmp_path / "bad").write_bytes(path.read_bytes().replace(old, new, 1))
     with pytest.raises(FormatError, match=message):
         load(tmp_path / "bad")
+
+
+@pytest.mark.parametrize(
+    "write, load, itemsize",
+    [(write_container, load_echoes, 16), (write_checkpoint, load_checkpoint, 8)],
+    ids=["echoes", "checkpoint"],
+)
+@pytest.mark.parametrize(
+    "manifest, n_items, message",
+    [
+        ("a -2,3", 0, "negative dimension"),
+        ("a 2\na 2", 4, "array a is listed twice"),
+        # 2**80 elements: a wrapped int64 size would read as 0 bytes
+        ("a 1099511627776,1099511627776", 0, "needs bytes up to [1-9][0-9]{24,}, payload has 0"),
+        ("a 2 0", 2, "bad array manifest line 'a 2 0'"),
+        ("a 2,", 2, "bad array manifest line"),
+        ("a 2\nb 2", 3, "array b needs bytes up to"),
+        ("a 2", 3, "bytes past the last array"),
+    ],
+    ids=["negative", "listed_twice", "overflow", "malformed", "empty_dim", "past_the_end", "trailing"],
+)
+def test_damaged_manifest_rejected(tmp_path, write, load, itemsize, manifest, n_items, message):
+    """Every manifest fault is a FormatError of read_container in both formats;
+    the payload holds ``n_items`` elements of the format's dtype."""
+    path = tmp_path / "good"
+    write(path)
+    data = path.read_bytes()
+    head = data[: data.index(b"\n[arrays]\n") + len(b"\n[arrays]\n")]
+    body = f"{manifest}\n[binary]\n".encode() + bytes(n_items * itemsize)
+    (tmp_path / "bad").write_bytes(head + body)
+    with pytest.raises(FormatError, match=message):
+        load(tmp_path / "bad")
+
+
+ECHO_V1 = (
+    "radarqi-echoes 1\ncount = 1\nlength = 2\nf0_hz = 30000000000.0\n"
+    "bandwidth_hz = 5000000000.0\nn_freqs = 2\nn_antennas = 1\nsnr_db = none\nseed = 0\n"
+    "[binary]\n"
+)
+CHECKPOINT_V2 = (
+    "radarqi-checkpoint 2\nkind = dnn\nepoch = 1\nbest_val_loss = 0.5\n"
+    f"[config]\n{ExperimentConfig().to_text()}[arrays]\nparam.w 2 0\nparam.b 1 16\n[binary]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "header, n_bytes, load, message",
+    [
+        (ECHO_V1, 32, load_echoes, "unsupported echo container version '1'"),
+        (CHECKPOINT_V2, 24, load_checkpoint, "unsupported checkpoint version '2'"),
+    ],
+    ids=["echoes_v1", "checkpoint_v2"],
+)
+def test_layout_before_the_array_manifest_rejected(tmp_path, header, n_bytes, load, message):
+    """Files in the layouts before the shared ``<name> <dims>`` manifest:
+    echoes with ``count``/``length`` header lines, a checkpoint with
+    ``param.<name> <shape> <offset>`` lines."""
+    path = tmp_path / "old"
+    path.write_bytes(header.encode() + bytes(n_bytes))
+    with pytest.raises(FormatError, match=message):
+        load(path)
 
 
 def same_bits(a: float, b: float) -> bool:

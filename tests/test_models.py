@@ -46,22 +46,28 @@ def relu_fista_oracle(matrix, s, mu, theta, n_iters):
     return x
 
 
+def n_params(model, names=None) -> int:
+    """Parameter count over ``names`` (default: every parameter)."""
+    return sum(model.params[n].size for n in (model.params if names is None else names))
+
+
 class TestParameterBudgets:
     def test_lfista_resnet_total(self, table1_op):
         model = LFistaResNet(table1_op)
-        assert model.n_params() == 7419
-        assert model.n_trainable() == 7419
+        assert n_params(model) == 7419
+        assert n_params(model, model.trainable_names) == 7419
 
     def test_frozen_variant_trainable(self, table1_op):
         model = LFistaResNet(table1_op, frozen_blocks=True)
-        assert model.n_params() == 7419
-        assert model.n_trainable() == 7379
+        assert n_params(model) == 7419
+        assert n_params(model, model.trainable_names) == 7379
 
     def test_dnn_total(self):
         model = EchoDnn(200, 784)
-        assert model.n_params() == 12634
+        assert n_params(model) == 12634
+        assert n_params(model, model.trainable_names) == 12634
         # 400*10 + 10 + 10*784 + 784
-        assert model.n_params() == 400 * 10 + 10 + 10 * 784 + 784
+        assert n_params(model) == 400 * 10 + 10 + 10 * 784 + 784
 
     def test_head_parameter_count(self, table1_op):
         model = LFistaResNet(table1_op)
