@@ -36,9 +36,10 @@ from .harness import (
     MetricsReport,
     build_scene,
     compare_methods,
+    f0_conditions,
     prepare_dataset,
-    sweep_center_frequency,
-    sweep_snr,
+    snr_conditions,
+    sweep,
     train_pipeline,
     unseen_shape_eval,
 )

@@ -11,6 +11,9 @@ whose ``[config]`` section is not a valid config. An echo container or a
 checkpoint written before the shared array layout of :mod:`radarqi.io`
 exits 3 with "unsupported ... version"; ``radarqi synth`` or ``radarqi
 train`` writes a new one.
+
+``eval``, ``sweep-snr``, ``sweep-freq`` and ``shapes`` score every method, so
+each needs all three network checkpoints.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ from .harness import (
     check_scene,
     checkpoint_path,
     compare_methods,
+    f0_conditions,
     load_trained_model,
     noisy_echoes,
     prepare_dataset,
-    sweep_center_frequency,
-    sweep_snr,
+    snr_conditions,
+    sweep,
     train_pipeline,
     unseen_shape_eval,
 )
@@ -101,9 +105,9 @@ def _check_samples(args) -> None:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
 
 
-def _load_models(cfg, op, args, kinds=NETWORK_KINDS):
+def _load_models(cfg, op, args):
     ckpt_dir = Path(getattr(args, "checkpoint_dir", None) or args.out_dir)
-    return {k: load_trained_model(cfg, op, k, checkpoint_path(ckpt_dir, k)) for k in kinds}
+    return {k: load_trained_model(cfg, op, k, checkpoint_path(ckpt_dir, k)) for k in NETWORK_KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -198,41 +202,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep_snr(args) -> int:
+def cmd_sweep(args) -> int:
+    """sweep-snr and sweep-freq: every method on the test split's first
+    ``--samples`` maps, once per listed SNR or start frequency."""
     _check_samples(args)
     cfg, out = _setup(args)
     op, bundle = build_experiment(cfg)
     n = min(args.samples, len(bundle.test_maps))
-    models = _load_models(cfg, op, args, kinds=("lfista_resnet",))
-    results = sweep_snr(
-        op,
-        models["lfista_resnet"],
-        bundle.test_maps[:n],
-        bundle.test_echoes[:n],
-        args.snr_db or SNR_GRID_DB,
-        cfg.seed,
-        out,
-    )
-    for snr, rep in results:
-        label = "none" if snr is None else f"{snr:g} dB"
-        print(f"snr {label}: mse={rep.mean_mse:.4f} ssim={rep.mean_ssim:.3f}")
-    return 0
-
-
-def cmd_sweep_freq(args) -> int:
-    _check_samples(args)
-    cfg, out = _setup(args)
-    op, bundle = build_experiment(cfg)
-    n = min(args.samples, len(bundle.test_maps))
+    truth = bundle.test_maps[:n]
     models = _load_models(cfg, op, args)
-    results = sweep_center_frequency(
-        cfg, models, bundle.test_maps[:n], args.f0_ghz or F0_GRID_GHZ, out
-    )
-    for f0_ghz, reports in results:
-        summary = " ".join(
-            f"{m}={rep.mean_ssim:.3f}" for m, rep in reports.items()
-        )
-        print(f"f0 {f0_ghz:g} GHz ssim: {summary}")
+    if args.command == "sweep-snr":
+        name, unit, column, stem = "snr", "dB", "snr_db", "sweep_snr"
+        snr_list = args.snr_db or SNR_GRID_DB
+        conditions = snr_conditions(op, bundle.test_echoes[:n], snr_list, cfg.seed)
+    else:
+        name, unit, column, stem = "f0", "GHz", "f0_ghz", "sweep_freq"
+        conditions = f0_conditions(cfg, truth, args.f0_ghz or F0_GRID_GHZ)
+    for x, reports in sweep(cfg, models, truth, conditions, column, stem, out):
+        value = "none" if x is None else f"{x:g} {unit}"
+        summary = " ".join(f"{m}={rep.mean_ssim:.3f}" for m, rep in reports.items())
+        print(f"{name} {value} ssim: {summary}")
     return 0
 
 
@@ -298,19 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", help="directory with checkpoints (default: out dir)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep-snr", help="noise-robustness sweep of the trained model")
+    p = sub.add_parser("sweep-snr", help="noise-robustness sweep of every method")
     _add_dataset(p)
     p.add_argument("--checkpoint-dir", help="directory with checkpoints (default: out dir)")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--snr-db", type=float, nargs="+", default=None)
-    p.set_defaults(func=cmd_sweep_snr)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sweep-freq", help="center-frequency generalization sweep")
     _add_dataset(p)
     p.add_argument("--checkpoint-dir", help="directory with checkpoints (default: out dir)")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--f0-ghz", type=float, nargs="+", default=None)
-    p.set_defaults(func=cmd_sweep_freq)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("shapes", help="evaluate on unseen shape and letter targets")
     _add_shared(p)

@@ -50,10 +50,13 @@ def noisy_echoes(echoes: np.ndarray, snr_db: float | None, seed: int) -> np.ndar
 
     Each echo gets noise variance mean(|s|^2) / 10^(snr_db / 10) per sample,
     split evenly between real and imaginary parts. Deterministic per seed.
-    ``snr_db`` of None returns the echoes unchanged.
+    ``snr_db`` of None returns the echoes unchanged; a non-finite one raises
+    ValueError.
     """
     if snr_db is None:
         return echoes
+    if not np.isfinite(snr_db):
+        raise ValueError(f"SNR must be a finite number of dB, got {snr_db}")
     power = np.mean(np.abs(echoes) ** 2, axis=1, keepdims=True)
     if np.any(power == 0):
         raise ValueError("cannot set a finite SNR on an all-zero echo")

@@ -1,5 +1,5 @@
 """Experiment harness: dataset assembly, the four-method comparison, and
-the generalization sweeps (noise level, center frequency, unseen shapes).
+the generalization tasks (noise level, center frequency, unseen shapes).
 
 Every evaluation scores through one path. A runner maps ``(echoes, op)`` to
 (n, P) maps: FISTA at the config's settings, or a network through
@@ -8,6 +8,12 @@ on identical echoes and returns one :class:`MetricsReport` per method, maps
 included, and the shared writers turn reports into the per-sample CSV, the
 truth/reconstruction/error grids and the SSIM-curve raster. A new
 evaluation is one more caller of :func:`run_methods`.
+
+The noise-level and center-frequency tasks are one :func:`sweep`: it runs
+every method on each ``(x, op, echoes)`` condition and writes one CSV and
+one SSIM curve per method. The tasks differ only in how they list their
+conditions: :func:`snr_conditions` re-noises the test echoes, and
+:func:`f0_conditions` rebuilds the operator per start frequency.
 
 Every artifact except ``timing.txt`` is a deterministic function of the
 configuration, seed, and checkpoints; wall-clock measurements are kept out
@@ -263,71 +269,63 @@ def compare_methods(
     return reports
 
 
-def sweep_snr(
-    op: ImagingOperator,
-    model,
-    test_maps: np.ndarray,
-    test_echoes: np.ndarray,
-    snr_list,
-    seed: int,
-    out_dir,
-) -> list[tuple[float | None, MetricsReport]]:
-    """Evaluate one trained model on echoes re-noised at each SNR.
-
-    The noise-free entry is listed first (snr_db = none). Writes
-    ``sweep_snr.csv`` and a small SSIM-vs-SNR curve raster.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    runners = {model.kind: partial(predict_maps, model)}
-    results = []
-    for k, snr in enumerate([None, *snr_list]):
-        echoes = noisy_echoes(test_echoes, snr, seed + k)
-        results.append((snr, run_methods(runners, op, test_maps, echoes)[model.kind]))
-    rio.write_csv(
-        out_dir / "sweep_snr.csv",
-        ["snr_db", "mean_mse", "mean_ssim"],
-        [("none" if snr is None else snr, rep.mean_mse, rep.mean_ssim) for snr, rep in results],
-        comments=[f"model = {model.kind}", f"n_samples = {len(test_maps)}"],
-    )
-    curve = [(snr, rep.mean_ssim) for snr, rep in results if snr is not None]
-    _write_curve(out_dir / "sweep_snr_ssim.pgm", curve)
-    return results
-
-
-def sweep_center_frequency(
+def sweep(
     cfg: ExperimentConfig,
-    models_by_kind: dict,
-    test_maps: np.ndarray,
-    f0_list_ghz,
+    models: dict,
+    truth: np.ndarray,
+    conditions,
+    column: str,
+    stem: str,
     out_dir,
-) -> list[tuple[float, dict[str, MetricsReport]]]:
-    """Re-synthesize test echoes at shifted center frequencies and evaluate.
+) -> list[tuple[float | None, dict[str, MetricsReport]]]:
+    """Score every method on each ``(x, op, echoes)`` condition against the
+    (n, P) ``truth``; returns ``(x, reports)`` per condition, in the listed
+    order, a repeated ``x`` included.
 
-    The sensing operator is rebuilt per frequency: the classic solver and
-    the frozen-block network recompute their step from the new operator,
-    while learned block scalars stay fixed. Network weights never change.
-    Returns ``(f0_ghz, reports)`` per listed frequency, in the listed order;
-    ``sweep_freq.csv`` holds one row per listed frequency and method, a
-    repeated frequency included.
+    Writes ``<stem>.csv`` with one ``<column>,method,mean_mse,mean_ssim`` row
+    per condition and method (an ``x`` of None as ``none``), and one
+    SSIM-vs-``x`` curve raster ``<stem>_ssim_<method>.pgm`` per method over
+    the conditions whose ``x`` is not None.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runners = _runners(cfg, models_by_kind)
-    results = []
-    for f0_ghz in f0_list_ghz:
-        op_f = build_operator(cfg, f0_hz=f0_ghz * 1e9)
-        echoes = synthesize_echoes(op_f.matrix, test_maps)
-        results.append((f0_ghz, run_methods(runners, op_f, test_maps, echoes)))
+    runners = _runners(cfg, models)
+    results = [(x, run_methods(runners, op, truth, echoes)) for x, op, echoes in conditions]
     rio.write_csv(
-        out_dir / "sweep_freq.csv",
-        ["f0_ghz", "method", "mean_mse", "mean_ssim"],
-        [(f0, m, rep.mean_mse, rep.mean_ssim) for f0, reps in results for m, rep in reps.items()],
-        comments=[f"n_samples = {len(test_maps)}"],
+        out_dir / f"{stem}.csv",
+        [column, "method", "mean_mse", "mean_ssim"],
+        [(x, m, rep.mean_mse, rep.mean_ssim) for x, reps in results for m, rep in reps.items()],
+        comments=[f"n_samples = {len(truth)}"],
     )
-    curve = [(f0, reps["lfista_resnet"].mean_ssim) for f0, reps in results if "lfista_resnet" in reps]
-    _write_curve(out_dir / "sweep_freq_ssim.pgm", curve)
+    for method in runners:
+        curve = [(x, reps[method].mean_ssim) for x, reps in results if x is not None]
+        _write_curve(out_dir / f"{stem}_ssim_{method}.pgm", curve)
     return results
+
+
+def snr_conditions(op: ImagingOperator, echoes: np.ndarray, snr_list, seed: int) -> list:
+    """Sweep conditions of the denoising task: the noise-free ``echoes``
+    (x None), then the k-th listed SNR [dB] as a copy re-noised with seed
+    ``seed + k``; all through ``op``. The copies are made up front, so a
+    bad SNR fails before any method runs."""
+    return [
+        (snr, op, noisy_echoes(echoes, snr, seed + k)) for k, snr in enumerate([None, *snr_list])
+    ]
+
+
+def f0_conditions(cfg: ExperimentConfig, truth: np.ndarray, f0_list_ghz):
+    """Sweep conditions of the frequency-migration task, one per listed
+    start frequency [GHz]: the operator rebuilt at it and the noise-free
+    echoes of ``truth`` through that operator, built as the sweep reaches
+    it.
+
+    The classic solver and the frozen-block network recompute their step
+    from the new operator, while learned block scalars stay fixed; network
+    weights never change.
+    """
+    for f0_ghz in f0_list_ghz:
+        op = build_operator(cfg, f0_hz=f0_ghz * 1e9)
+        yield f0_ghz, op, synthesize_echoes(op.matrix, truth)
 
 
 def unseen_shape_eval(

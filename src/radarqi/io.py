@@ -13,10 +13,11 @@ A container is one layout for both formats::
 :func:`write_container` writes it and :func:`read_container` alone reads
 it: every byte offset and size is computed there, and every framing or
 manifest fault raises :class:`~radarqi.errors.FormatError`.
-:func:`header_fields` reads ``key = value`` header lines. Echo containers
-(version 2, here) hold their synthesis metadata and one ``echoes`` array of
-``<c16``; checkpoints (version 3, :mod:`radarqi.training`) hold their
-metadata and config, and ``<f8`` parameters in model order.
+:func:`header_fields` reads ``key = value`` header lines and rejects a key
+listed twice. Echo containers (version 2, here) hold their synthesis
+metadata and one ``echoes`` array of ``<c16``; checkpoints (version 3,
+:mod:`radarqi.training`) hold their metadata and config, and ``<f8``
+parameters in model order.
 
 Everything written here is byte-deterministic given identical inputs:
 floats are serialized with round-tripping ``repr``, arrays as little-endian
@@ -118,13 +119,17 @@ def read_container(path, magic: str, version: int, what: str, dtype: str) -> tup
     return lines[1:at], arrays
 
 
-def header_fields(lines) -> dict[str, str]:
-    """Stripped ``key = value`` pairs of header lines; blank lines are skipped."""
+def header_fields(lines, path) -> dict[str, str]:
+    """Stripped ``key = value`` pairs of the header lines of the file at
+    ``path``; blank lines are skipped, and a key listed twice raises
+    :class:`FormatError`."""
     fields = {}
     for line in lines:
         if line.strip():
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in fields:
+                raise FormatError(f"{path}: header key {key!r} is listed twice")
+            fields[key] = value
     return fields
 
 
@@ -164,7 +169,7 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
     if list(shapes) != ["echoes"] or len(shapes["echoes"]) != 2:
         raise FormatError(f"{path}: expected one 2-D echoes array, found {shapes}")
     echoes = arrays["echoes"]
-    meta: dict = header_fields(lines)
+    meta: dict = header_fields(lines, path)
     try:
         meta["f0_hz"] = float(meta["f0_hz"])
         meta["bandwidth_hz"] = float(meta["bandwidth_hz"])

@@ -175,7 +175,7 @@ def load_checkpoint(path) -> Checkpoint:
     if "[config]" not in lines:
         raise FormatError(f"{path}: missing [config] section")
     at = lines.index("[config]")
-    meta = header_fields(lines[:at])
+    meta = header_fields(lines[:at], path)
     try:
         config = config_from_text("\n".join(lines[at + 1 :]))
     except ConfigError as exc:

@@ -1,5 +1,5 @@
-"""Shared fixtures: the production-scale operator, a tiny fast scene, and a
-session-scoped desk-scale CLI pipeline run used by the acceptance checks."""
+"""Shared test helpers: finite-difference gradients, the production-scale
+scene and operator, and a runner for the CLI of this checkout."""
 
 import os
 import subprocess
@@ -69,31 +69,3 @@ def run_cli(args, cwd):
         text=True,
         env=env,
     )
-
-
-def run_fast_pipeline(workdir: Path, out_name: str):
-    """synth + train --fast + eval, as the CLI contract specifies."""
-    out = workdir / out_name
-    steps = [
-        ["synth", "--fast", "--out-dir", str(out), "--split", "test"],
-        ["train", "--fast", "--out-dir", str(out)],
-        [
-            "eval",
-            "--fast",
-            "--out-dir",
-            str(out),
-            "--echoes",
-            str(out / "echoes_test.bin"),
-        ],
-    ]
-    for step in steps:
-        proc = run_cli(step, workdir)
-        assert proc.returncode == 0, f"{step} failed:\n{proc.stdout}\n{proc.stderr}"
-    return out
-
-
-@pytest.fixture(scope="session")
-def fast_run(tmp_path_factory):
-    """First full desk-scale pipeline run; reused by several criteria."""
-    workdir = tmp_path_factory.mktemp("pipeline")
-    return workdir, run_fast_pipeline(workdir, "run1")

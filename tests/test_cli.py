@@ -86,7 +86,9 @@ def test_every_subcommand_writes_its_artifacts(two_runs):
         "comparison_samples.csv",
         "grid_fista.pgm",
         "snr/sweep_snr.csv",
+        "snr/sweep_snr_ssim_fista.pgm",
         "freq/sweep_freq.csv",
+        "freq/sweep_freq_ssim_dnn.pgm",
         "shapes/shapes.csv",
         "fista/fista_objective_00007.csv",
         "fista/fista_00007.pgm",
@@ -189,20 +191,37 @@ def test_infer_on_a_non_finite_echo_exits_4(two_runs, tmp_path, kind):
     assert not list((tmp_path / "out").glob("*.pgm"))
 
 
-def test_sweep_freq_writes_a_row_per_listed_value(two_runs, tmp_path):
+@pytest.mark.parametrize(
+    "args, xs, labels",
+    [
+        (["sweep-freq", "--f0-ghz", "30", "30"], ["30.0", "30.0"], ["f0 30 GHz"] * 2),
+        (
+            ["sweep-snr", "--snr-db", "10", "10"],
+            ["none", "10.0", "10.0"],
+            ["snr none", "snr 10 dB", "snr 10 dB"],
+        ),
+    ],
+    ids=["sweep-freq", "sweep-snr"],
+)
+def test_sweep_writes_a_row_per_listed_value(two_runs, tmp_path, args, xs, labels):
+    """Four methods per condition, in runner order, and one printed line per
+    condition. A repeated frequency scores the same; a repeated SNR draws
+    fresh noise, because condition k is seeded with seed + k."""
     workdir, config, (run1, _) = two_runs
-    out = tmp_path / "freq"
-    proc = cli_ok(["sweep-freq", "--config", str(config), "--out-dir", str(out),
-                   "--checkpoint-dir", str(run1), "--f0-ghz", "30", "30"], workdir)
-    lines = (out / "sweep_freq.csv").read_text().splitlines()
-    assert lines[:2] == ["# n_samples = 8", "f0_ghz,method,mean_mse,mean_ssim"]
+    out = tmp_path / "out"
+    proc = cli_ok(args[:1] + ["--config", str(config), "--out-dir", str(out),
+                  "--checkpoint-dir", str(run1), *args[1:]], workdir)
+    column = args[1][2:].replace("-", "_")
+    lines = (out / f"{args[0].replace('-', '_')}.csv").read_text().splitlines()
+    assert lines[:2] == ["# n_samples = 8", f"{column},method,mean_mse,mean_ssim"]
     methods = ["fista", "fista_resnet", "lfista_resnet", "dnn"]
-    assert [line.split(",")[:2] for line in lines[2:]] == [["30.0", m] for m in methods] * 2
-    assert lines[2:6] == lines[6:10]
+    assert [line.split(",")[:2] for line in lines[2:]] == [[x, m] for x in xs for m in methods]
     printed = proc.stdout.splitlines()
-    assert len(printed) == 2 and printed[0] == printed[1]
-    assert printed[0].startswith("f0 30 GHz ssim: fista=")
-
+    assert [line.split(" ssim: fista=")[0] for line in printed] == labels
+    same_condition = args[0] == "sweep-freq"
+    assert (lines[-8:-4] == lines[-4:]) == same_condition
+    if same_condition:
+        assert printed[-2] == printed[-1]
 
 
 @pytest.mark.parametrize(
@@ -224,6 +243,30 @@ def test_container_header_without_a_scene_exits_3(two_runs, tmp_path, changes):
     )
     assert proc.returncode == 3, proc.stderr
     assert f"echo container {path} makes no scene" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, line, command",
+    [
+        ("echoes_test.bin", "f0_hz = 32000000000.0", "fista"),
+        ("checkpoint_lfista_resnet.ckpt", "epoch = 99", "infer"),
+    ],
+    ids=["echoes", "checkpoint"],
+)
+def test_header_key_listed_twice_exits_3(two_runs, tmp_path, name, line, command):
+    workdir, config, (run1, _) = two_runs
+    path = tmp_path / name
+    path.write_bytes((run1 / name).read_bytes().replace(b"\n", f"\n{line}\n".encode(), 1))
+    inputs = {
+        "fista": ["--echoes", str(path), "--max-iter", "5"],
+        "infer": ["--echoes", str(run1 / "echoes_test.bin"), "--checkpoint", str(path)],
+    }[command]
+    out = tmp_path / "out"
+    proc = run_cli([command, "--config", str(config), "--out-dir", str(out), *inputs], workdir)
+    assert proc.returncode == 3, proc.stderr
+    key = line.split(" = ")[0]
+    assert f"{path}: header key '{key}' is listed twice" in proc.stderr
+    assert not list(out.glob("*.pgm"))
 
 
 @pytest.mark.parametrize(
@@ -322,6 +365,10 @@ def test_empty_value_list_exits_2(two_runs, tmp_path, command, flag):
         (["sweep-snr", "--samples", "-3"], "--samples"),
         (["sweep-snr", "--samples", "0"], "--samples"),
         (["sweep-freq", "--samples", "0"], "--samples"),
+        (["synth", "--snr-db", "nan"], "SNR"),
+        (["synth", "--snr-db=-inf"], "SNR"),
+        (["sweep-snr", "--snr-db", "nan"], "SNR"),
+        (["sweep-snr", "--snr-db", "10", "inf"], "SNR"),
     ],
 )
 def test_override_values_taken_as_given(two_runs, tmp_path, args, message):
@@ -334,7 +381,7 @@ def test_override_values_taken_as_given(two_runs, tmp_path, args, message):
     )
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
-    assert not (out / "echoes_test.bin").exists()
+    assert not list(out.rglob("*"))
 
 
 def test_synth_header_holds_the_swept_f0_and_the_config_sweep(two_runs, tmp_path):

@@ -185,3 +185,8 @@ class TestAwgn:
         echoes = np.stack([self._unit_power_echoes(8)[0], np.zeros(8, dtype=complex)])
         with pytest.raises(ValueError):
             noisy_echoes(echoes, 10.0, seed=0)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="SNR must be a finite number"):
+            noisy_echoes(self._unit_power_echoes(), snr_db, seed=0)

@@ -13,10 +13,17 @@ from radarqi.errors import FormatError
 from radarqi.fista import FistaConfig, ImagingOperator, fista_solve_many
 from radarqi.forward import noisy_echoes, synthesize_echoes
 from radarqi.harness import (
+    NETWORK_KINDS,
+    _runners,
+    build_operator,
     build_scene,
     compare_methods,
+    f0_conditions,
     load_trained_model,
     prepare_dataset,
+    run_methods,
+    snr_conditions,
+    sweep,
     unseen_shape_eval,
 )
 from radarqi.models import EchoDnn, build_model, predict_maps
@@ -468,3 +475,35 @@ class TestCompareMethods:
         )
         for kind, model in models.items():
             np.testing.assert_array_equal(reports[kind].maps, predict_maps(model, echoes, op))
+
+
+class TestSweep:
+    @pytest.mark.parametrize("task", ["snr", "f0"])
+    def test_each_condition_scores_like_run_methods(self, tmp_path, task):
+        """Condition k of the SNR task re-noises with seed + k (None first);
+        each condition of the f0 task rebuilds the operator and its echoes."""
+        cfg, op, data, _ = tiny_training_setup(epochs=0)
+        models = {k: build_model(k, op, cfg, cfg.seed) for k in NETWORK_KINDS}
+        truth, echoes = data.val_maps, data.val_echoes
+        if task == "snr":
+            xs = [None, 10.0, 10.0, 0.0]
+            conditions = snr_conditions(op, echoes, xs[1:], cfg.seed)
+            expected = [(op, noisy_echoes(echoes, x, cfg.seed + k)) for k, x in enumerate(xs)]
+        else:
+            xs = [29.0, 31.0]
+            conditions = f0_conditions(cfg, truth, xs)
+            ops = [build_operator(cfg, f0_hz=x * 1e9) for x in xs]
+            expected = [(o, synthesize_echoes(o.matrix, truth)) for o in ops]
+        results = sweep(cfg, models, truth, conditions, "x", "sweep_x", tmp_path)
+        assert [x for x, _ in results] == xs
+        methods = ["fista", *NETWORK_KINDS]
+        for (_, reports), (op_k, echoes_k) in zip(results, expected):
+            want = run_methods(_runners(cfg, models), op_k, truth, echoes_k)
+            assert list(reports) == methods
+            for m in methods:
+                np.testing.assert_array_equal(reports[m].maps, want[m].maps)
+                np.testing.assert_array_equal(reports[m].per_sample_ssim, want[m].per_sample_ssim)
+        lines = (tmp_path / "sweep_x.csv").read_text().splitlines()
+        assert len(lines) == 2 + len(xs) * len(methods)
+        curves = sorted(path.name for path in tmp_path.glob("*.pgm"))
+        assert curves == sorted(f"sweep_x_ssim_{m}.pgm" for m in methods)
