@@ -48,7 +48,6 @@ from .models import EchoDnn, LFistaResNet, build_model, predict_maps
 from .training import (
     AdamState,
     Checkpoint,
-    LossWeights,
     PlateauSchedule,
     TrainingData,
     adam_step,

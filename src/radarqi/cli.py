@@ -23,8 +23,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as rio
 from .config import ExperimentConfig, apply_fast_profile, load_config
 from .errors import ConfigError, DivergedError, FormatError
@@ -69,11 +67,16 @@ def _add_dataset(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mnist-dir", help="directory with MNIST IDX files")
 
 
+# Command-line options that override a config field, by option dest; the
+# config's range check answers them before the output directory is made.
+_OVERRIDES = {"seed": "seed", "lam": "fista_lambda", "max_iter": "fista_max_iter"}
+
+
 def _setup(args) -> tuple[ExperimentConfig, Path]:
     """The run's config, with command-line overrides, and its output directory."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    overrides = {field: getattr(args, dest, None) for dest, field in _OVERRIDES.items()}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if getattr(args, "mnist_dir", None):
         cfg = dataclasses.replace(cfg, mnist_dir=args.mnist_dir)
     if getattr(args, "fast", False):
@@ -140,9 +143,7 @@ def cmd_fista(args) -> int:
     cfg, out = _setup(args)
     echoes, op = _load_container(cfg, args.echoes)
     solver_cfg = FistaConfig(
-        lam=cfg.fista_lambda if args.lam is None else args.lam,
-        max_iter=cfg.fista_max_iter if args.max_iter is None else args.max_iter,
-        record_objective=args.record_objective,
+        lam=cfg.fista_lambda, max_iter=cfg.fista_max_iter, record_objective=args.record_objective
     )
     result = fista_solve(op.matrix, echoes, solver_cfg, op)
     if args.record_objective:
@@ -154,7 +155,7 @@ def cmd_fista(args) -> int:
             )
     side = cfg.side_cells
     for i, est in enumerate(result.estimate):
-        rio.write_pgm(out / f"fista_{i:05d}.pgm", np.clip(est, 0, 1).reshape(side, side))
+        rio.write_pgm(out / f"fista_{i:05d}.pgm", est.reshape(side, side))
     print(f"reconstructed {len(echoes)} echoes into {out}")
     return 0
 
@@ -172,7 +173,7 @@ def cmd_infer(args) -> int:
     cfg, out = _setup(args)
     echoes, op = _load_container(cfg, args.echoes)
     model = load_trained_model(cfg, op, None, args.checkpoint)
-    maps = np.clip(predict_maps(model, echoes, op), 0.0, 1.0)
+    maps = predict_maps(model, echoes, op)
     side = cfg.side_cells
     for i, m in enumerate(maps):
         rio.write_pgm(out / f"infer_{i:05d}.pgm", m.reshape(side, side))

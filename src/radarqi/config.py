@@ -1,5 +1,9 @@
 """Experiment configuration: one flat key = value text file.
 
+:class:`ExperimentConfig` is the one home of every hyperparameter's default
+and valid range. The solver, the networks, the loss and the schedule are
+built from it and take these values as required arguments.
+
 Defaults reproduce the reference desk-scale setup: a 28x28 grid of 1 cm
 cells imaged by 4 antennas at 2 m standoff sweeping 50 frequencies over
 5 GHz from 30 GHz (200 measurements for 784 unknowns).
@@ -52,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.side_cells < 1 or not 0 < self.cell_size_m < math.inf:
             raise ConfigError("side_cells must be >= 1 and cell_size_m finite and > 0")
+        if not math.isfinite(self.standoff_m):
+            raise ConfigError("standoff_m must be finite")
         if self.n_antennas < 1 or self.n_freqs < 1:
             raise ConfigError("n_antennas and n_freqs must be >= 1")
         if not (0 < self.f0_hz < math.inf and 0 < self.bandwidth_hz < math.inf):
@@ -60,6 +66,16 @@ class ExperimentConfig:
             raise ConfigError("split sizes must be >= 1")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if min(self.n_blocks, self.res_channels, self.fista_max_iter) < 1:
+            raise ConfigError("n_blocks, res_channels and fista_max_iter must be >= 1")
+        if min(self.res_blocks, self.plateau_patience) < 0:
+            raise ConfigError("res_blocks and plateau_patience must be >= 0")
+        if not all(0 <= w < math.inf for w in (self.fista_lambda, self.loss_lambda1, self.loss_lambda2)):
+            raise ConfigError("fista_lambda, loss_lambda1 and loss_lambda2 must be finite and >= 0")
+        if not (0 < self.frozen_lambda < math.inf and 0 < self.learning_rate < math.inf):
+            raise ConfigError("frozen_lambda and learning_rate must be finite and > 0")
+        if not 0 < self.plateau_factor <= 1:
+            raise ConfigError("plateau_factor must lie in (0, 1]")
         # a config file holds one stripped value per line
         if self.mnist_dir != self.mnist_dir.strip() or len(self.mnist_dir.splitlines()) > 1:
             raise ConfigError(

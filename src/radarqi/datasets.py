@@ -88,9 +88,7 @@ def read_idx_images(path) -> np.ndarray:
 
 
 def split_dataset(
-    rasters: np.ndarray,
-    seed: int,
-    sizes: tuple[int, int, int] = (800, 200, 1000),
+    rasters: np.ndarray, seed: int, sizes: tuple[int, int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Randomly select disjoint train/val/test index sets of the given sizes.
 

@@ -14,6 +14,7 @@ batch at each iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,20 +81,20 @@ class ImagingOperator:
 
 @dataclass
 class FistaConfig:
-    """Solver settings.
-
-    ``rel_tol`` of None disables early stopping (the solver then runs
-    exactly ``max_iter`` iterations).
+    """Solver settings; ``lam`` and ``max_iter`` come from a config's
+    ``fista_lambda`` and ``fista_max_iter``, and the guard rejects what the
+    config rejects. ``rel_tol`` of None disables early stopping (the solver
+    then runs exactly ``max_iter`` iterations).
     """
 
-    lam: float = 0.001
-    max_iter: int = 2000
+    lam: float
+    max_iter: int
     record_objective: bool = False
     rel_tol: float | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

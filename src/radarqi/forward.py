@@ -50,17 +50,19 @@ def noisy_echoes(echoes: np.ndarray, snr_db: float | None, seed: int) -> np.ndar
 
     Each echo gets noise variance mean(|s|^2) / 10^(snr_db / 10) per sample,
     split evenly between real and imaginary parts. Deterministic per seed.
-    ``snr_db`` of None returns the echoes unchanged; a non-finite one raises
-    ValueError.
+    ``snr_db`` of None returns the echoes unchanged. A non-finite one raises
+    ValueError, and so does one that gives an echo a noise variance that is
+    not finite and > 0: an all-zero echo, or an SNR beyond the float range.
     """
     if snr_db is None:
         return echoes
     if not np.isfinite(snr_db):
         raise ValueError(f"SNR must be a finite number of dB, got {snr_db}")
     power = np.mean(np.abs(echoes) ** 2, axis=1, keepdims=True)
-    if np.any(power == 0):
-        raise ValueError("cannot set a finite SNR on an all-zero echo")
-    sigma2 = power / 10.0 ** (snr_db / 10.0)
+    with np.errstate(over="ignore", divide="ignore"):  # out of range: a variance of inf or 0
+        sigma2 = power / np.float64(10.0) ** (snr_db / 10.0)
+    if not np.all((sigma2 > 0) & (sigma2 < np.inf)):
+        raise ValueError(f"SNR {snr_db} dB gives an echo a noise variance not finite and > 0")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB47C]))
     scale = np.sqrt(sigma2 / 2.0)
     noise = scale * (

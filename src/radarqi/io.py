@@ -221,16 +221,18 @@ def image_grid(rows: list[list[np.ndarray]]) -> np.ndarray:
         for j, tile in enumerate(row):
             top = 1 + i * (tile_h + 1)
             left = 1 + j * (tile_w + 1)
-            out[top : top + tile_h, left : left + tile_w] = np.clip(tile, 0.0, 1.0)
+            out[top : top + tile_h, left : left + tile_w] = tile
     return out
 
 
 def curve_raster(xs, ys) -> np.ndarray:
     """Render a polyline as a 240x320 white-background raster with a
-    20-pixel margin (basic sweep plot)."""
+    20-pixel margin (basic sweep plot); a non-finite point raises ValueError."""
     width, height, margin = 320, 240, 20
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError(f"curve points must be finite, got x {xs} and y {ys}")
     img = np.ones((height, width))
     img[margin, margin : width - margin] = 0.6
     img[height - margin, margin : width - margin] = 0.6

@@ -43,56 +43,44 @@ class LFistaResNet:
     op : ImagingOperator
         Default physics operator (a different one may be passed per forward
         call, e.g. for center-frequency generalization runs).
-    n_blocks : int
-        Number of unrolled blocks.
-    channels : int
-        Hidden channels of the refinement head.
-    n_res_blocks : int
-        Residual blocks in the head.
-    side : int
-        Image side length; the coarse vector reshapes to (side, side).
-    init_lam : float
-        Sparsity weight whose product with the initial step seeds the
-        ReLU thresholds (and pins them when ``frozen_blocks``).
+    cfg : ExperimentConfig
+        Supplies the shape and the initial thresholds: ``n_blocks``
+        unrolled blocks, a head of ``res_blocks`` residual blocks with
+        ``res_channels`` hidden channels on the ``side_cells`` grid, and
+        ``frozen_lambda``, the sparsity weight whose product with the
+        initial step seeds the ReLU thresholds (and pins them when
+        ``frozen_blocks``).
     frozen_blocks : bool
         If True the block scalars are not trainable and are recomputed
         from the operator at forward time.
+    seed : int
+        Seeds the head's weight initialization.
     """
 
-    def __init__(
-        self,
-        op: ImagingOperator,
-        n_blocks: int = 20,
-        channels: int = 14,
-        n_res_blocks: int = 2,
-        side: int = 28,
-        init_lam: float = 0.01,
-        frozen_blocks: bool = False,
-        seed: int = 0,
-    ):
+    def __init__(self, op: ImagingOperator, cfg, frozen_blocks: bool, seed: int):
+        side = cfg.side_cells
         if side * side != op.n_cells:
             raise ValueError(f"side {side} does not square to {op.n_cells} cells")
         self.op = op
         self.n_cells = op.n_cells
         self.n_measurements = op.matrix.shape[0]
-        self.n_blocks = n_blocks
-        self.channels = channels
-        self.n_res_blocks = n_res_blocks
+        self.n_blocks = cfg.n_blocks
+        self.n_res_blocks = cfg.res_blocks
         self.side = side
-        self.init_lam = init_lam
+        self.init_lam = cfg.frozen_lambda
         self.frozen_blocks = frozen_blocks
-        self.momentum = momentum_coeffs(n_blocks)
+        self.momentum = momentum_coeffs(self.n_blocks)
 
         mu0 = 1.0 / op.lmax
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1F7A]))
-        c = channels
+        c = cfg.res_channels
         self.params: dict[str, np.ndarray] = {
-            "block_mu_raw": np.full(n_blocks, softplus_inv(mu0)),
-            "block_theta_raw": np.full(n_blocks, softplus_inv(init_lam * mu0)),
+            "block_mu_raw": np.full(self.n_blocks, softplus_inv(mu0)),
+            "block_theta_raw": np.full(self.n_blocks, softplus_inv(self.init_lam * mu0)),
             "head_kernel": he_normal(rng, (3, 3, 1, c), 9),
             "head_bias": np.zeros(c),
         }
-        for rb in range(1, n_res_blocks + 1):
+        for rb in range(1, self.n_res_blocks + 1):
             self.params[f"res{rb}_conv1_kernel"] = he_normal(rng, (3, 3, c, c), 9 * c)
             self.params[f"res{rb}_conv1_bias"] = np.zeros(c)
             self.params[f"res{rb}_conv2_kernel"] = he_normal(rng, (3, 3, c, c), 9 * c)
@@ -249,7 +237,7 @@ class EchoDnn:
     hidden = 10
     kind = "dnn"
 
-    def __init__(self, n_measurements: int, n_cells: int, seed: int = 0):
+    def __init__(self, n_measurements: int, n_cells: int, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD44]))
         d_in = 2 * n_measurements
         self.n_measurements = n_measurements
@@ -308,16 +296,7 @@ def predict_maps(model, echoes: np.ndarray, op: ImagingOperator | None = None, c
 def build_model(kind: str, op: ImagingOperator, cfg, seed: int):
     """Construct a model by kind string from an ExperimentConfig."""
     if kind in ("lfista_resnet", "fista_resnet"):
-        return LFistaResNet(
-            op,
-            n_blocks=cfg.n_blocks,
-            channels=cfg.res_channels,
-            n_res_blocks=cfg.res_blocks,
-            side=cfg.side_cells,
-            init_lam=cfg.frozen_lambda,
-            frozen_blocks=(kind == "fista_resnet"),
-            seed=seed,
-        )
+        return LFistaResNet(op, cfg, kind == "fista_resnet", seed)
     if kind == "dnn":
-        return EchoDnn(op.matrix.shape[0], op.n_cells, seed=seed)
+        return EchoDnn(op.matrix.shape[0], op.n_cells, seed)
     raise ValueError(f"unknown model kind {kind!r}")

@@ -12,6 +12,10 @@ physics consistency of the prediction with the measured echo:
 
     L = ||e - p||_2^2 + lambda1 * ||e - p||_1 + lambda2 * ||s - A p||_2^2
 
+The loss weights, the learning rate and the plateau schedule's factor and
+patience come from the run's :class:`~radarqi.config.ExperimentConfig`,
+which also range-checks them; nothing here has a default of its own.
+
 Training echoes are noise-free and synthesized once up front; every source
 of randomness is seeded, so repeated runs produce byte-identical logs and
 checkpoints.
@@ -36,17 +40,7 @@ CHECKPOINT_MAGIC = "radarqi-checkpoint"
 CHECKPOINT_VERSION = 3
 
 
-@dataclass
-class LossWeights:
-    lambda1: float = 0.1
-    lambda2: float = 0.05
-
-    def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be >= 0")
-
-
-def hybrid_loss_batch(eps_true, eps_hat, echoes, matrix, w: LossWeights):
+def hybrid_loss_batch(eps_true, eps_hat, echoes, matrix, lambda1: float, lambda2: float):
     """Mean loss over an (n, P) batch and the gradient of that mean, (n, P).
 
     A single sample is a batch of one. The L1 subgradient at exact ties is
@@ -57,13 +51,13 @@ def hybrid_loss_batch(eps_true, eps_hat, echoes, matrix, w: LossWeights):
     residual = echoes - eps_hat @ matrix.T
     values = (
         np.sum(diff * diff, axis=1)
-        + w.lambda1 * np.sum(np.abs(diff), axis=1)
-        + w.lambda2 * np.sum(np.abs(residual) ** 2, axis=1)
+        + lambda1 * np.sum(np.abs(diff), axis=1)
+        + lambda2 * np.sum(np.abs(residual) ** 2, axis=1)
     )
     grad_sum = (
         2.0 * diff
-        + w.lambda1 * np.sign(diff)
-        - 2.0 * w.lambda2 * (residual @ matrix.conj()).real
+        + lambda1 * np.sign(diff)
+        - 2.0 * lambda2 * (residual @ matrix.conj()).real
     )
     return float(np.mean(values)), grad_sum / len(values)
 
@@ -114,7 +108,7 @@ class PlateauSchedule:
     """Cut the learning rate by ``factor`` after ``patience + 1`` consecutive
     epochs without a new best (strictly lower) validation loss."""
 
-    def __init__(self, initial_lr: float, factor: float = 0.1, patience: int = 10):
+    def __init__(self, initial_lr: float, factor: float, patience: int):
         self.lr = initial_lr
         self.factor = factor
         self.patience = patience
@@ -241,10 +235,12 @@ class TrainingData:
     val_echoes: np.ndarray
 
 
-def _validation_metrics(model, op, data: TrainingData, w: LossWeights, side: int):
+def _validation_metrics(model, op, data: TrainingData, cfg: ExperimentConfig):
     pred = predict_maps(model, data.val_echoes, op)
-    loss, _ = hybrid_loss_batch(data.val_maps, pred, data.val_echoes, op.matrix, w)
-    mses, ssims = image_quality(data.val_maps, pred, side)
+    loss, _ = hybrid_loss_batch(
+        data.val_maps, pred, data.val_echoes, op.matrix, cfg.loss_lambda1, cfg.loss_lambda2
+    )
+    mses, ssims = image_quality(data.val_maps, pred, cfg.side_cells)
     return loss, float(np.mean(mses)), float(np.mean(ssims))
 
 
@@ -256,14 +252,13 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
     (epoch 0 is the untrained model). Raises DivergedError with epoch/batch
     coordinates if the loss stops being finite.
     """
-    w = LossWeights(cfg.loss_lambda1, cfg.loss_lambda2)
     schedule = PlateauSchedule(cfg.learning_rate, cfg.plateau_factor, cfg.plateau_patience)
     adam = AdamState.for_params(model.params, model.trainable_names, schedule.lr)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x50F1E]))
 
     n_train = len(data.train_maps)
     rows = []
-    val_loss, val_mse, val_ssim = _validation_metrics(model, op, data, w, cfg.side_cells)
+    val_loss, val_mse, val_ssim = _validation_metrics(model, op, data, cfg)
     rows.append((0, schedule.lr, float("nan"), val_loss, val_mse, val_ssim))
 
     best_loss = np.inf
@@ -276,7 +271,8 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
             idx = order[start : start + cfg.batch_size]
             out, cache = model.forward_cached(data.train_echoes[idx], op)
             loss, dout = hybrid_loss_batch(
-                data.train_maps[idx], out, data.train_echoes[idx], op.matrix, w
+                data.train_maps[idx], out, data.train_echoes[idx], op.matrix,
+                cfg.loss_lambda1, cfg.loss_lambda2,
             )
             if not np.isfinite(loss):
                 raise DivergedError(
@@ -288,7 +284,7 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
             epoch_sum += loss * len(idx)
         train_loss = epoch_sum / n_train
 
-        val_loss, val_mse, val_ssim = _validation_metrics(model, op, data, w, cfg.side_cells)
+        val_loss, val_mse, val_ssim = _validation_metrics(model, op, data, cfg)
         rows.append((epoch, lr_used, train_loss, val_loss, val_mse, val_ssim))
         if val_loss < best_loss:
             best_loss = val_loss

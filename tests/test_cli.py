@@ -369,6 +369,8 @@ def test_empty_value_list_exits_2(two_runs, tmp_path, command, flag):
         (["synth", "--snr-db=-inf"], "SNR"),
         (["sweep-snr", "--snr-db", "nan"], "SNR"),
         (["sweep-snr", "--snr-db", "10", "inf"], "SNR"),
+        (["synth", "--snr-db", "5000"], "SNR"),
+        (["synth", "--snr-db=-5000"], "SNR"),
     ],
 )
 def test_override_values_taken_as_given(two_runs, tmp_path, args, message):
@@ -381,7 +383,62 @@ def test_override_values_taken_as_given(two_runs, tmp_path, args, message):
     )
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+    assert "Warning" not in proc.stderr
     assert not list(out.rglob("*"))
+
+
+def with_line(line: str) -> str:
+    """SMALL_CONFIG with ``line`` in place of the line of the same key."""
+    key = line.split(" = ")[0]
+    kept = [old for old in SMALL_CONFIG.splitlines() if old.split(" = ")[0] != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "line, command",
+    [
+        ("res_channels = 0", "train"),
+        ("learning_rate = -0.01", "train"),
+        ("plateau_factor = 0.0", "train"),
+        ("res_blocks = -1", "train"),
+        ("n_blocks = 0", "train"),
+        ("frozen_lambda = 0.0", "train"),
+        ("learning_rate = nan", "train"),
+        ("frozen_lambda = nan", "train"),
+        ("loss_lambda2 = inf", "train"),
+        ("standoff_m = nan", "synth"),
+    ],
+)
+def test_out_of_range_hyperparameter_exits_2(tmp_path, line, command):
+    config = write_config(tmp_path / "bad.cfg", with_line(line))
+    out = tmp_path / "out"
+    proc = run_cli([command, "--config", str(config), "--out-dir", str(out)], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr
+    assert line.split(" = ")[0] in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, field",
+    [
+        ("--lambda=nan", "fista_lambda"),
+        ("--lambda=inf", "fista_lambda"),
+        ("--lambda=-0.1", "fista_lambda"),
+        ("--max-iter=0", "fista_max_iter"),
+    ],
+)
+def test_fista_overrides_are_range_checked_as_config(two_runs, tmp_path, option, field):
+    workdir, config, (run1, _) = two_runs
+    out = tmp_path / "out"
+    proc = run_cli(
+        ["fista", "--config", str(config), "--out-dir", str(out),
+         "--echoes", str(run1 / "echoes_test.bin"), option],
+        workdir,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr and field in proc.stderr
+    assert not out.exists()
 
 
 def test_synth_header_holds_the_swept_f0_and_the_config_sweep(two_runs, tmp_path):

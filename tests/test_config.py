@@ -1,25 +1,37 @@
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radarqi.config import ExperimentConfig, config_from_text
+from radarqi.datasets import split_dataset
 from radarqi.errors import ConfigError
+from radarqi.fista import FistaConfig
+from radarqi.models import EchoDnn, LFistaResNet
+from radarqi.training import PlateauSchedule, hybrid_loss_batch
 
-# Fields that ExperimentConfig bounds; every other field takes any value.
+# Fields that ExperimentConfig bounds; every other field takes any finite value.
 POSITIVE_INTS = {"side_cells", "n_antennas", "n_freqs", "train_size", "val_size",
-                 "test_size", "batch_size"}
+                 "test_size", "batch_size", "n_blocks", "res_channels", "fista_max_iter"}
+NON_NEGATIVE_INTS = {"epochs", "res_blocks", "plateau_patience"}
 POSITIVE_FLOATS = {"cell_size_m", "f0_hz", "bandwidth_hz"}
+POSITIVE_WEIGHTS = {"frozen_lambda", "learning_rate"}
+NON_NEGATIVE_WEIGHTS = {"fista_lambda", "loss_lambda1", "loss_lambda2"}
 
 
 def field_values(f: dataclasses.Field):
     if f.name in POSITIVE_INTS:
         return st.integers(min_value=1, max_value=2**63)
-    if f.name == "epochs":
+    if f.name in NON_NEGATIVE_INTS:
         return st.integers(min_value=0, max_value=2**63)
-    if f.name in POSITIVE_FLOATS:
+    if f.name in POSITIVE_FLOATS | POSITIVE_WEIGHTS:
         return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    if f.name in NON_NEGATIVE_WEIGHTS:
+        return st.floats(min_value=0.0, allow_infinity=False)
+    if f.name == "plateau_factor":
+        return st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     if f.type == "int":
         return st.integers(min_value=-(2**63), max_value=2**63)
     if f.type == "float":
@@ -56,3 +68,39 @@ def test_value_a_config_file_cannot_hold_rejected():
 def test_non_finite_length_or_frequency_rejected(name, value):
     with pytest.raises(ConfigError, match=name):
         ExperimentConfig(**{name: value})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_blocks", 0), ("res_channels", 0), ("fista_max_iter", 0),
+        ("res_blocks", -1), ("plateau_patience", -1),
+        ("fista_lambda", -0.001), ("fista_lambda", INF), ("fista_lambda", NAN),
+        ("loss_lambda1", -0.1), ("loss_lambda2", INF),
+        ("frozen_lambda", 0.0), ("frozen_lambda", NAN),
+        ("learning_rate", -0.01), ("learning_rate", NAN),
+        ("plateau_factor", 0.0), ("plateau_factor", 1.5), ("plateau_factor", NAN),
+        ("standoff_m", NAN), ("standoff_m", -INF),
+    ],
+)
+def test_out_of_range_hyperparameter_rejected(name, value):
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig(**{name: value})
+
+
+# What the builders below take that no config field holds.
+NOT_CONFIG_VALUES = {"record_objective", "rel_tol"}
+
+
+@pytest.mark.parametrize(
+    "built",
+    [FistaConfig, LFistaResNet, EchoDnn, PlateauSchedule, split_dataset, hybrid_loss_batch],
+    ids=lambda f: f.__name__,
+)
+def test_no_signature_repeats_a_config_default(built):
+    params = inspect.signature(built).parameters
+    defaults = {name for name, p in params.items() if p.default is not p.empty}
+    assert defaults <= NOT_CONFIG_VALUES

@@ -74,28 +74,28 @@ class TestIdxFormat:
 class TestSplit:
     def test_sizes_and_disjointness(self):
         rasters = np.zeros((2500, 28, 28), dtype=np.uint8)
-        train, val, test = split_dataset(rasters, seed=3)
+        train, val, test = split_dataset(rasters, seed=3, sizes=(800, 200, 1000))
         assert (len(train), len(val), len(test)) == (800, 200, 1000)
         union = set(train) | set(val) | set(test)
         assert len(union) == 2000
 
     def test_deterministic_per_seed(self):
         rasters = np.zeros((2500, 28, 28), dtype=np.uint8)
-        a = split_dataset(rasters, seed=11)
-        b = split_dataset(rasters, seed=11)
+        a = split_dataset(rasters, seed=11, sizes=(800, 200, 1000))
+        b = split_dataset(rasters, seed=11, sizes=(800, 200, 1000))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_seeds_differ(self):
         rasters = np.zeros((2500, 28, 28), dtype=np.uint8)
         for seed in range(5):
-            a = split_dataset(rasters, seed=seed)
-            b = split_dataset(rasters, seed=seed + 100)
+            a = split_dataset(rasters, seed=seed, sizes=(800, 200, 1000))
+            b = split_dataset(rasters, seed=seed + 100, sizes=(800, 200, 1000))
             assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_insufficient_rasters(self):
         with pytest.raises(ValueError, match="at least 2000"):
-            split_dataset(np.zeros((100, 28, 28), dtype=np.uint8), seed=0)
+            split_dataset(np.zeros((100, 28, 28), dtype=np.uint8), seed=0, sizes=(800, 200, 1000))
 
     def test_custom_sizes(self):
         rasters = np.zeros((400, 28, 28), dtype=np.uint8)

@@ -234,6 +234,13 @@ class TestFistaSolve:
             e0 = energy(matrix, s, np.zeros(len(grid)), lam)
             assert energy(matrix, s, result.estimate, lam) < e0
 
+    @pytest.mark.parametrize(
+        "lam, max_iter", [(float("nan"), 10), (float("inf"), 10), (-0.1, 10), (0.01, 0)]
+    )
+    def test_settings_the_config_rejects_are_rejected(self, lam, max_iter):
+        with pytest.raises(ValueError, match="lam must|max_iter must"):
+            FistaConfig(lam=lam, max_iter=max_iter)
+
 
 class TestGradientStepOperator:
     def test_spectral_radius_on_submatrix(self, table1_scene):

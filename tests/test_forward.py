@@ -190,3 +190,9 @@ class TestAwgn:
     def test_non_finite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="SNR must be a finite number"):
             noisy_echoes(self._unit_power_echoes(), snr_db, seed=0)
+
+    @pytest.mark.parametrize("snr_db", [5000.0, -5000.0])
+    def test_snr_beyond_the_float_range_rejected(self, snr_db):
+        # the noise variance would be 0 or inf; warnings are errors here
+        with pytest.raises(ValueError, match="noise variance"):
+            noisy_echoes(self._unit_power_echoes(), snr_db, seed=0)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from radarqi.config import ExperimentConfig
 from radarqi.errors import FormatError
-from radarqi.io import ECHO_MAGIC, ECHO_VERSION, load_echoes, save_echoes
+from radarqi.io import ECHO_MAGIC, ECHO_VERSION, curve_raster, load_echoes, save_echoes
 from radarqi.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -213,3 +213,11 @@ def test_round_trip_keeps_every_bit(tmp_path_factory, container):
         assert same_bits(meta["snr_db"], header["snr_db"])
     for key in ("n_freqs", "n_antennas", "seed"):
         assert meta[key] == header[key]
+
+
+@pytest.mark.parametrize(
+    "xs, ys", [([10.0, float("inf")], [0.2, 0.3]), ([10.0, 20.0], [0.2, float("nan")])]
+)
+def test_curve_with_a_non_finite_point_rejected(xs, ys):
+    with pytest.raises(ValueError, match="finite"):
+        curve_raster(xs, ys)

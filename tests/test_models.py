@@ -18,16 +18,10 @@ def small_op(seed=0, m=10, p=16):
 
 
 def small_model(seed=0, frozen=False, n_blocks=3, channels=2, res_blocks=1):
-    op = small_op(seed)
-    return LFistaResNet(
-        op,
-        n_blocks=n_blocks,
-        channels=channels,
-        n_res_blocks=res_blocks,
-        side=4,
-        frozen_blocks=frozen,
-        seed=seed,
+    cfg = ExperimentConfig(
+        side_cells=4, n_blocks=n_blocks, res_channels=channels, res_blocks=res_blocks
     )
+    return LFistaResNet(small_op(seed), cfg, frozen, seed)
 
 
 def relu_fista_oracle(matrix, s, mu, theta, n_iters):
@@ -53,24 +47,24 @@ def n_params(model, names=None) -> int:
 
 class TestParameterBudgets:
     def test_lfista_resnet_total(self, table1_op):
-        model = LFistaResNet(table1_op)
+        model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
         assert n_params(model) == 7419
         assert n_params(model, model.trainable_names) == 7419
 
     def test_frozen_variant_trainable(self, table1_op):
-        model = LFistaResNet(table1_op, frozen_blocks=True)
+        model = LFistaResNet(table1_op, ExperimentConfig(), True, 0)
         assert n_params(model) == 7419
         assert n_params(model, model.trainable_names) == 7379
 
     def test_dnn_total(self):
-        model = EchoDnn(200, 784)
+        model = EchoDnn(200, 784, 0)
         assert n_params(model) == 12634
         assert n_params(model, model.trainable_names) == 12634
         # 400*10 + 10 + 10*784 + 784
         assert n_params(model) == 400 * 10 + 10 + 10 * 784 + 784
 
     def test_head_parameter_count(self, table1_op):
-        model = LFistaResNet(table1_op)
+        model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
         head = sum(
             v.size for k, v in model.params.items() if not k.startswith("block_")
         )
@@ -89,7 +83,8 @@ class TestUnrolledForward:
     def test_single_block_identity_step(self):
         # mu = 1, theta = 0, identity operator: one block reproduces the echo
         op4 = ImagingOperator(np.eye(4))
-        model = LFistaResNet(op4, n_blocks=1, channels=2, n_res_blocks=1, side=2, seed=0)
+        cfg = ExperimentConfig(side_cells=2, n_blocks=1, res_channels=2, res_blocks=1)
+        model = LFistaResNet(op4, cfg, False, 0)
         model.params["block_mu_raw"][:] = softplus_inv(1.0)
         model.params["block_theta_raw"][:] = softplus_inv(1e-300)
         s = np.array([0.5, 0.0, 1.2, 0.3])
@@ -97,7 +92,8 @@ class TestUnrolledForward:
 
     def test_twenty_blocks_match_relu_fista_oracle(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
-        model = LFistaResNet(table1_op)  # init: mu = 1/lmax, theta = 0.01 * mu
+        # init: mu = 1/lmax, theta = 0.01 * mu
+        model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
         rng = np.random.default_rng(0)
         eps = np.zeros(len(grid))
         eps[rng.integers(0, len(grid), 20)] = rng.uniform(0.2, 1.0, 20)
@@ -136,7 +132,7 @@ class TestRefinementHead:
         np.testing.assert_allclose(model._head(coarse, collect=False)[0], want, atol=1e-12)
 
     def test_matches_straight_line_reimplementation(self, table1_op):
-        model = LFistaResNet(table1_op, seed=11)
+        model = LFistaResNet(table1_op, ExperimentConfig(), False, 11)
         rng = np.random.default_rng(4)
         coarse = rng.uniform(0, 1, (2, 784))
         p = model.params
@@ -168,7 +164,7 @@ class TestModelForward:
         eps = np.zeros(len(grid))
         eps[100] = 1.0
         s = synthesize_echoes(matrix, eps[None])[0]
-        model = LFistaResNet(table1_op)
+        model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
         out = model.forward(s)
         assert out.shape == (784,)
         assert np.all(np.isfinite(out))
@@ -180,7 +176,7 @@ class TestModelForward:
         rng = np.random.default_rng(13)
         maps = rng.uniform(0, 1, (4, len(grid))) * (rng.uniform(size=(4, len(grid))) < 0.1)
         echoes = synthesize_echoes(matrix, maps)
-        model = LFistaResNet(table1_op)
+        model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
         batched = model.forward(echoes)
         for echo, row in zip(echoes, batched):
             assert np.max(np.abs(model.forward(echo) - row)) <= 1e-12 * np.max(np.abs(row))
@@ -197,7 +193,7 @@ class TestModelForward:
 
 class TestEchoDnn:
     def test_zero_input_zero_params_zero_output(self):
-        model = EchoDnn(10, 16, seed=0)
+        model = EchoDnn(10, 16, 0)
         for v in model.params.values():
             v[:] = 0.0
         out = model.forward(np.zeros(10, dtype=complex))
@@ -210,7 +206,7 @@ class TestEchoDnn:
         )
 
     def test_linear_region_superposition(self):
-        model = EchoDnn(5, 9, seed=1)
+        model = EchoDnn(5, 9, 1)
         # positive weights and bias keep every preactivation positive for
         # nonnegative inputs, so the map is affine there
         model.params["dense1_weight"][:] = np.abs(model.params["dense1_weight"])
@@ -256,7 +252,7 @@ class TestBackward:
             assert err < 1e-4, f"{name}: {err}"
 
     def test_finite_difference_dnn(self):
-        model = EchoDnn(6, 9, seed=10)
+        model = EchoDnn(6, 9, 10)
         rng = np.random.default_rng(10)
         echoes = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
         weights = rng.normal(size=(3, 9))

@@ -31,7 +31,6 @@ from radarqi.training import (
     CHECKPOINT_VERSION,
     AdamState,
     Checkpoint,
-    LossWeights,
     PlateauSchedule,
     TrainingData,
     adam_step,
@@ -43,10 +42,11 @@ from radarqi.training import (
 )
 
 
-def loss_one(eps_true, eps_hat, s, a, w):
+def loss_one(eps_true, eps_hat, s, a, lambda1, lambda2):
     """Loss value and gradient for one sample, as a batch of one."""
     value, grad = hybrid_loss_batch(
-        np.asarray(eps_true)[None], np.asarray(eps_hat)[None], np.asarray(s)[None], a, w
+        np.asarray(eps_true)[None], np.asarray(eps_hat)[None], np.asarray(s)[None], a,
+        lambda1, lambda2,
     )
     return value, grad[0]
 
@@ -57,7 +57,7 @@ class TestHybridLoss:
         rng = np.random.default_rng(0)
         eps = rng.uniform(0, 1, len(grid)) * (rng.uniform(size=len(grid)) < 0.2)
         s = synthesize_echoes(matrix, eps[None])[0]
-        value, grad = loss_one(eps, eps, s, matrix, LossWeights())
+        value, grad = loss_one(eps, eps, s, matrix, 0.1, 0.05)
         assert value < 1e-10
         # away from the data term everything cancels; only L1 ties remain at 0
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
@@ -65,8 +65,8 @@ class TestHybridLoss:
     def test_zero_prediction_zero_truth(self):
         a = np.eye(4)
         s = np.array([1.0, 2.0, 0.0, 0.0])
-        w = LossWeights(lambda1=0.1, lambda2=0.05)
-        value, _ = loss_one(np.zeros(4), np.zeros(4), s, a, w)
+        w = (0.1, 0.05)
+        value, _ = loss_one(np.zeros(4), np.zeros(4), s, a, *w)
         assert value == pytest.approx(0.05 * 5.0)
 
     def test_term_by_term_oracle(self):
@@ -75,8 +75,8 @@ class TestHybridLoss:
         truth = rng.uniform(0, 1, 9)
         pred = rng.uniform(0, 1, 9)
         s = a @ truth
-        w = LossWeights(lambda1=0.1, lambda2=0.05)
-        value, _ = loss_one(truth, pred, s, a, w)
+        w = (0.1, 0.05)
+        value, _ = loss_one(truth, pred, s, a, *w)
         diff = truth - pred
         expected = (
             np.sum(diff**2)
@@ -91,9 +91,9 @@ class TestHybridLoss:
         truth = rng.uniform(0, 1, 9)
         pred = truth + rng.uniform(0.05, 0.3, 9) * rng.choice([-1, 1], 9)
         s = a @ truth
-        w = LossWeights()
-        _, grad = loss_one(truth, pred, s, a, w)
-        fd = finite_difference_grad(lambda v: loss_one(truth, v, s, a, w)[0], pred.copy())
+        w = (0.1, 0.05)
+        _, grad = loss_one(truth, pred, s, a, *w)
+        fd = finite_difference_grad(lambda v: loss_one(truth, v, s, a, *w)[0], pred.copy())
         assert relative_grad_error(grad, fd) < 1e-4
 
     def test_decomposition(self):
@@ -102,10 +102,10 @@ class TestHybridLoss:
         truth = rng.uniform(0, 1, 8)
         pred = rng.uniform(0, 1, 8)
         s = a @ truth
-        mse_term = loss_one(truth, pred, s, a, LossWeights(0.0, 0.0))[0]
-        l1_term = loss_one(truth, pred, s, a, LossWeights(1.0, 0.0))[0] - mse_term
-        phys_term = loss_one(truth, pred, s, a, LossWeights(0.0, 1.0))[0] - mse_term
-        total = loss_one(truth, pred, s, a, LossWeights(0.1, 0.05))[0]
+        mse_term = loss_one(truth, pred, s, a, 0.0, 0.0)[0]
+        l1_term = loss_one(truth, pred, s, a, 1.0, 0.0)[0] - mse_term
+        phys_term = loss_one(truth, pred, s, a, 0.0, 1.0)[0] - mse_term
+        total = loss_one(truth, pred, s, a, 0.1, 0.05)[0]
         assert total == pytest.approx(mse_term + 0.1 * l1_term + 0.05 * phys_term, abs=1e-12)
 
     def test_physics_term_equals_injected_noise_power(self, table1_scene):
@@ -114,8 +114,8 @@ class TestHybridLoss:
         eps = rng.uniform(0, 1, len(grid)) * (rng.uniform(size=len(grid)) < 0.2)
         clean = synthesize_echoes(matrix, eps[None])
         noisy = noisy_echoes(clean, 10.0, seed=7)
-        w = LossWeights(lambda1=0.0, lambda2=1.0)
-        value, _ = loss_one(eps, eps, noisy[0], matrix, w)
+        w = (0.0, 1.0)
+        value, _ = loss_one(eps, eps, noisy[0], matrix, *w)
         injected = np.sum(np.abs(noisy - clean) ** 2)
         assert value == pytest.approx(injected, rel=1e-12)
 
@@ -125,16 +125,12 @@ class TestHybridLoss:
         truth = rng.uniform(0, 1, (3, 8))
         pred = rng.uniform(0, 1, (3, 8))
         echoes = truth @ a.T
-        w = LossWeights()
-        mean, grad = hybrid_loss_batch(truth, pred, echoes, a, w)
-        singles = [loss_one(truth[i], pred[i], echoes[i], a, w) for i in range(3)]
+        w = (0.1, 0.05)
+        mean, grad = hybrid_loss_batch(truth, pred, echoes, a, *w)
+        singles = [loss_one(truth[i], pred[i], echoes[i], a, *w) for i in range(3)]
         assert mean == pytest.approx(np.mean([v for v, _ in singles]), abs=1e-12)
         for i in range(3):
             np.testing.assert_allclose(grad[i], singles[i][1] / 3.0, atol=1e-12)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(-0.1, 0.0)
 
 
 class TestAdam:
@@ -181,7 +177,7 @@ class TestPlateauSchedule:
         assert sched.update(2.0) == pytest.approx(1e-4)
 
     def test_improvement_resets_counter(self):
-        sched = PlateauSchedule(1e-2, patience=10)
+        sched = PlateauSchedule(1e-2, factor=0.1, patience=10)
         sched.update(1.0)
         for _ in range(10):
             sched.update(2.0)
@@ -260,11 +256,11 @@ class TestFit:
         # lambda1 = lambda2 = 0 reduces training to plain MSE regression;
         # verify the full chain loss -> model parameters by finite differences
         cfg, op, data, model = tiny_training_setup()
-        w = LossWeights(0.0, 0.0)
+        w = (0.0, 0.0)
         echoes = data.train_echoes[:2]
         truth = data.train_maps[:2]
         out, cache = model.forward_cached(echoes, op)
-        _, dout = hybrid_loss_batch(truth, out, echoes, op.matrix, w)
+        _, dout = hybrid_loss_batch(truth, out, echoes, op.matrix, *w)
         grads = model.backward(cache, dout)
 
         def loss(_):
@@ -348,7 +344,7 @@ class TestCheckpointIO:
 
     def test_kind_mismatch_on_restore(self):
         _, op, ckpt = self._checkpoint()
-        dnn = EchoDnn(op.matrix.shape[0], op.n_cells)
+        dnn = EchoDnn(op.matrix.shape[0], op.n_cells, 0)
         with pytest.raises(FormatError, match="kind"):
             restore_model(dnn, ckpt)
 
