@@ -28,11 +28,16 @@ def build_sensing_matrix(freqs: np.ndarray, positions: np.ndarray, centers: np.n
     centers [m].
 
     Rows are antenna-major: row i belongs to antenna ``i // Nf`` and
-    frequency index ``i % Nf``. Every entry has unit modulus.
+    frequency index ``i % Nf``. Every entry has unit modulus. A scene whose
+    phases leave the float range (a standoff of 1e300 m, say) raises
+    ValueError.
     """
-    r = distances(positions, centers)  # (K, P)
-    # (K, Nf, P) phases, then stacked antenna-major into (Nf*K, P).
-    phase = 4.0 * np.pi / SPEED_OF_LIGHT * freqs[None, :, None] * r[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: an inf or nan phase
+        r = distances(positions, centers)  # (K, P)
+        # (K, Nf, P) phases, then stacked antenna-major into (Nf*K, P).
+        phase = 4.0 * np.pi / SPEED_OF_LIGHT * freqs[None, :, None] * r[:, None, :]
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("scene gives a round-trip phase beyond the float range")
     return np.exp(-1j * phase).reshape(-1, len(centers))
 
 

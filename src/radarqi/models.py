@@ -176,7 +176,8 @@ class LFistaResNet:
 
         ``dout`` is the upstream gradient w.r.t. the (n, P) output. With
         frozen blocks nothing before the head trains, so the pass stops at
-        the head and never runs back through the unrolled blocks.
+        the head's kernel gradient: it forms no gradient of the head's input
+        and never runs back through the unrolled blocks.
         """
         grads = {}
         caches = cache["head"]
@@ -199,7 +200,7 @@ class LFistaResNet:
             d = d_in + d_sum  # conv path + skip path
         c_head, m0 = caches["head"]
         d_img, grads["head_kernel"], grads["head_bias"] = conv2d_3x3_backward(
-            c_head, d * m0
+            c_head, d * m0, input_grad=not self.frozen_blocks
         )
         if self.frozen_blocks:
             return grads

@@ -387,6 +387,16 @@ def test_override_values_taken_as_given(two_runs, tmp_path, args, message):
     assert not list(out.rglob("*"))
 
 
+def test_scene_beyond_the_float_range_exits_2(tmp_path):
+    config = write_config(tmp_path / "far.cfg", with_line("standoff_m = 1e300"))
+    out = tmp_path / "out"
+    proc = run_cli(["synth", "--config", str(config), "--out-dir", str(out)], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "scene" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not list(out.rglob("*"))
+
+
 def with_line(line: str) -> str:
     """SMALL_CONFIG with ``line`` in place of the line of the same key."""
     key = line.split(" = ")[0]

@@ -70,6 +70,12 @@ class TestSensingMatrix:
             expected = np.exp(-1j * 4 * np.pi * f * r[k] / SPEED_OF_LIGHT)
             np.testing.assert_allclose(a[i], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("standoff", [1e160, 1e300])
+    def test_phase_beyond_the_float_range_rejected(self, standoff):
+        grid, _, sweep = toy_scene()
+        with pytest.raises(ValueError, match="scene"):
+            build_sensing_matrix(sweep, build_ula(3, 30e9, standoff), grid)
+
 
 def test_build_scene_returns_the_arrays_and_their_matrix():
     cfg = ExperimentConfig(side_cells=4, n_antennas=3, n_freqs=5)

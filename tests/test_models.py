@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import finite_difference_grad, relative_grad_error
+from radarqi import models
 from radarqi.config import ExperimentConfig
 from radarqi.fista import ImagingOperator
 from radarqi.forward import synthesize_echoes
 from radarqi.models import EchoDnn, LFistaResNet, build_model, predict_maps
-from radarqi.nn_ops import softplus_inv
+from radarqi.nn_ops import conv2d_3x3_backward, softplus_inv
 
 from test_nn_ops import naive_conv
 
@@ -181,6 +184,15 @@ class TestModelForward:
         for echo, row in zip(echoes, batched):
             assert np.max(np.abs(model.forward(echo) - row)) <= 1e-12 * np.max(np.abs(row))
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_forward_equals_the_cached_forward(self, table1_scene, table1_op, frozen):
+        _, grid, _, _, matrix = table1_scene
+        rng = np.random.default_rng(16)
+        maps = rng.uniform(0, 1, (23, len(grid))) * (rng.uniform(size=(23, len(grid))) < 0.1)
+        echoes = synthesize_echoes(matrix, maps)
+        model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
+        np.testing.assert_array_equal(model.forward(echoes), model.forward_cached(echoes)[0])
+
     def test_predict_maps_chunking(self):
         # chunked evaluation may reorder BLAS sums; only last-bit differences
         model = small_model(seed=6)
@@ -322,6 +334,50 @@ class TestFrozenBlocks:
         assert set(full_grads) - set(grads) == {"block_mu_raw", "block_theta_raw"}
         for name, g in grads.items():
             np.testing.assert_array_equal(g, full_grads[name], err_msg=name)
+
+    def test_frozen_backward_forms_no_head_input_gradient(self, monkeypatch):
+        model = small_model(seed=17, frozen=True, res_blocks=2)
+        rng = np.random.default_rng(17)
+        echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
+        _, cache = model.forward_cached(echoes)
+        wanted = []
+
+        def recording(conv_cache, dout, input_grad=True):
+            wanted.append(input_grad)
+            return conv2d_3x3_backward(conv_cache, dout, input_grad)
+
+        monkeypatch.setattr(models, "conv2d_3x3_backward", recording)
+        model.backward(cache, rng.normal(size=(2, 16)))
+        assert wanted == [True] * 5 + [False]  # tail, two res blocks, then the head
+
+
+class TestWorkspace:
+    """Peak traced memory of the network at the paper geometry. A whole-batch
+    patch matrix of 64 images of 14 channels is 51 MB; the conv gathers
+    slices of at most nn_ops.PATCH_BUDGET_BYTES instead."""
+
+    @staticmethod
+    def peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture
+    def model_and_echoes(self, table1_scene, table1_op):
+        _, grid, _, _, matrix = table1_scene
+        maps = np.random.default_rng(18).uniform(0, 1, (64, len(grid)))
+        return LFistaResNet(table1_op, ExperimentConfig(), False, 0), synthesize_echoes(matrix, maps)
+
+    def test_predict_maps_of_64_echoes(self, model_and_echoes):
+        model, echoes = model_and_echoes
+        assert self.peak_mb(lambda: predict_maps(model, echoes)) < 100.0
+
+    def test_cached_forward_of_16_echoes(self, model_and_echoes):
+        model, echoes = model_and_echoes
+        assert self.peak_mb(lambda: model.forward_cached(echoes[:16])) < 40.0
 
 
 class TestBuildModel:

@@ -28,13 +28,13 @@ def naive_conv(x, kernel, bias):
     return out + bias
 
 
-def scatter_conv_backward(cache, dout):
+def scatter_conv_backward(x, kernel, dout):
     """Backward that forms the patch gradients and adds each 3x3 offset back
     into a padded image, independent of the flipped-kernel path."""
-    patches, kernel, (n, h, w, c_in) = cache
+    n, h, w, c_in = x.shape
     c_out = kernel.shape[3]
     dout_flat = dout.reshape(n * h * w, c_out)
-    dkernel = (patches.T @ dout_flat).reshape(3, 3, c_in, c_out)
+    dkernel = (nn_ops._patch_matrix(x).T @ dout_flat).reshape(3, 3, c_in, c_out)
     dpatches = (dout_flat @ kernel.reshape(9 * c_in, c_out).T).reshape(n, h, w, 3, 3, c_in)
     dx_padded = np.zeros((n, h + 2, w + 2, c_in))
     for i in range(3):
@@ -132,7 +132,7 @@ class TestConvBackward:
         _, cache = conv2d_3x3_cached(x, kernel, rng.normal(size=c_out))
 
         dx, dk, db = conv2d_3x3_backward(cache, upstream)
-        ref_dx, ref_dk, ref_db = scatter_conv_backward(cache, upstream)
+        ref_dx, ref_dk, ref_db = scatter_conv_backward(x, kernel, upstream)
         np.testing.assert_array_equal(dk, ref_dk)
         np.testing.assert_array_equal(db, ref_db)
         assert dx.shape == x.shape
@@ -149,6 +149,100 @@ class TestConvBackward:
 
         monkeypatch.setattr(nn_ops, "conv2d_3x3_cached", forbidden)
         conv2d_3x3_backward(cache, rng.normal(size=(2, 5, 5, 4)))
+
+
+# Images of 14 channels on the paper's 28x28 grid that one float64 patch
+# matrix holds.
+SLICE = nn_ops.PATCH_BUDGET_BYTES // (28 * 28 * 9 * 14 * 8)
+
+
+def whole_batch_conv(x, kernel, bias, dout):
+    """Forward output and (dx, dkernel, dbias) from one patch matrix of the
+    whole batch each, as the conv computed them before it sliced the batch."""
+    n, h, w, c_in = x.shape
+    c_out = kernel.shape[3]
+    out = nn_ops._patch_matrix(x) @ kernel.reshape(9 * c_in, c_out) + bias
+    dout_flat = dout.reshape(n * h * w, c_out)
+    flipped = kernel[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * c_out, c_in)
+    dx = nn_ops._patch_matrix(dout) @ flipped
+    dkernel = nn_ops._patch_matrix(x).T @ dout_flat
+    return (
+        out.reshape(n, h, w, c_out),
+        dx.reshape(x.shape),
+        dkernel.reshape(kernel.shape),
+        dout_flat.sum(axis=0),
+    )
+
+
+class TestSlicedConv:
+    @pytest.mark.parametrize("n", [1, SLICE, SLICE + 1, 2 * SLICE + 3])
+    @pytest.mark.parametrize("c_in, c_out", [(1, 14), (14, 14), (14, 1)])
+    def test_equals_a_whole_batch_gather(self, n, c_in, c_out):
+        rng = np.random.default_rng(n * 1000 + c_in * 100 + c_out)
+        x = rng.normal(size=(n, 28, 28, c_in))
+        kernel = rng.normal(size=(3, 3, c_in, c_out))
+        bias = rng.normal(size=c_out)
+        upstream = rng.normal(size=(n, 28, 28, c_out))
+
+        out, cache = conv2d_3x3_cached(x, kernel, bias)
+        grads = conv2d_3x3_backward(cache, upstream)
+        ref_out, *ref_grads = whole_batch_conv(x, kernel, bias, upstream)
+        np.testing.assert_array_equal(out, ref_out)
+        for name, got, want in zip(("dx", "dkernel", "dbias"), grads, ref_grads):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_no_slice_is_left_small(self):
+        # Unbalanced, 64 images of 5 channels would slice as 29 + 29 + 6; a
+        # BLAS may sum so small a product in another order than a whole batch.
+        rng = np.random.default_rng(64)
+        x = rng.normal(size=(64, 28, 28, 3))
+        kernel = rng.normal(size=(3, 3, 3, 5))
+        upstream = rng.normal(size=(64, 28, 28, 5))
+        _, cache = conv2d_3x3_cached(x, kernel, np.zeros(5))
+        dx = conv2d_3x3_backward(cache, upstream)[0]
+        np.testing.assert_array_equal(dx, whole_batch_conv(x, kernel, np.zeros(5), upstream)[1])
+
+    def test_cache_holds_the_input_and_the_kernel(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2 * SLICE + 3, 28, 28, 14))
+        kernel = rng.normal(size=(3, 3, 14, 14))
+        _, cache = conv2d_3x3_cached(x, kernel, np.zeros(14))
+        assert len(cache) == 2 and cache[0] is x and cache[1] is kernel
+
+    def test_forward_and_input_gradient_gather_within_the_budget(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        n = 2 * SLICE + 3
+        x = rng.normal(size=(n, 28, 28, 14))
+        kernel = rng.normal(size=(3, 3, 14, 14))
+        _, cache = conv2d_3x3_cached(x, kernel, np.zeros(14))
+        gathered = []
+        gather = nn_ops._patch_matrix
+
+        def recording(a):
+            patches = gather(a)
+            gathered.append(patches.nbytes)
+            return patches
+
+        monkeypatch.setattr(nn_ops, "_patch_matrix", recording)
+        conv2d_3x3_cached(x, kernel, np.zeros(14))
+        assert len(gathered) == 3 and max(gathered) <= nn_ops.PATCH_BUDGET_BYTES
+        gathered.clear()
+        conv2d_3x3_backward(cache, rng.normal(size=x.shape), input_grad=False)
+        assert len(gathered) == 1  # dkernel: one whole-batch gather of x
+        conv2d_3x3_backward(cache, rng.normal(size=x.shape))
+        assert len(gathered) == 1 + 1 + 3
+        assert max(gathered[2:]) <= nn_ops.PATCH_BUDGET_BYTES
+
+    def test_without_the_input_gradient(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, 6, 5, 1))
+        _, cache = conv2d_3x3_cached(x, rng.normal(size=(3, 3, 1, 4)), np.zeros(4))
+        upstream = rng.normal(size=(3, 6, 5, 4))
+        dx, dk, db = conv2d_3x3_backward(cache, upstream, input_grad=False)
+        _, ref_dk, ref_db = conv2d_3x3_backward(cache, upstream)
+        assert dx is None
+        np.testing.assert_array_equal(dk, ref_dk)
+        np.testing.assert_array_equal(db, ref_db)
 
 
 class TestDense:

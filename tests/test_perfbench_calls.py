@@ -1,0 +1,64 @@
+"""Every radarqi attribute the benchmark's workloads call still exists.
+
+``perfbench/workloads.py`` calls the program through module attributes
+(``fista.fista_solve_many``), so a function deleted or renamed in radarqi
+would crash a benchmark run with an AttributeError outside its operation
+counter. An ``ast`` scan lists those attributes without importing the
+benchmark.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def radarqi_attributes(source: str) -> list[tuple[str, str]]:
+    """(module, attribute) for each ``name.attr`` whose ``name`` is bound by
+    ``from radarqi import ...``, and (module, name) for each name imported
+    from a radarqi module; sorted, without repeats."""
+    tree = ast.parse(source)
+    modules, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("radarqi"):
+            for alias in node.names:
+                if node.module == "radarqi":
+                    modules[alias.asname or alias.name] = f"radarqi.{alias.name}"
+                else:
+                    found.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.add((modules[node.value.id], node.attr))
+    return sorted(found)
+
+
+CALLED = radarqi_attributes(WORKLOADS.read_text(encoding="utf-8"))
+
+
+def test_scan_finds_module_attributes_and_imported_names():
+    source = (
+        "from radarqi import fista, io as rio\nfrom radarqi.config import ExperimentConfig\n"
+        "import numpy as np\nfista.solve(np.zeros(2)); rio.load(); other.thing()\n"
+    )
+    assert radarqi_attributes(source) == [
+        ("radarqi.config", "ExperimentConfig"),
+        ("radarqi.fista", "solve"),
+        ("radarqi.io", "load"),
+    ]
+
+
+def test_the_workloads_call_the_solver_and_the_models():
+    assert ("radarqi.fista", "fista_solve_many") in CALLED
+    assert ("radarqi.models", "predict_maps") in CALLED
+
+
+@pytest.mark.parametrize("module, attr", CALLED, ids=[f"{m}.{a}" for m, a in CALLED])
+def test_called_attribute_exists(module, attr):
+    assert hasattr(importlib.import_module(module), attr)
