@@ -68,8 +68,8 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if min(self.n_blocks, self.res_channels, self.fista_max_iter) < 1:
             raise ConfigError("n_blocks, res_channels and fista_max_iter must be >= 1")
-        if min(self.res_blocks, self.plateau_patience) < 0:
-            raise ConfigError("res_blocks and plateau_patience must be >= 0")
+        if min(self.res_blocks, self.plateau_patience, self.seed) < 0:
+            raise ConfigError("res_blocks, plateau_patience and seed must be >= 0")
         if not all(0 <= w < math.inf for w in (self.fista_lambda, self.loss_lambda1, self.loss_lambda2)):
             raise ConfigError("fista_lambda, loss_lambda1 and loss_lambda2 must be finite and >= 0")
         if not (0 < self.frozen_lambda < math.inf and 0 < self.learning_rate < math.inf):

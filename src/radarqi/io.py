@@ -180,6 +180,8 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad echo container header ({exc})") from exc
     meta["count"], meta["length"] = echoes.shape
+    if meta["count"] == 0:
+        raise FormatError(f"{path}: the echo container holds no echoes")
     if meta["length"] != meta["n_freqs"] * meta["n_antennas"]:
         raise FormatError(
             f"{path}: echo length {meta['length']} is not n_freqs * n_antennas = "

@@ -2,12 +2,14 @@
 a fully-connected baseline.
 
 ``LFistaResNet`` runs a fixed number of unrolled accelerated-shrinkage
-blocks (one per solver iteration, ReLU nonlinearity with a learnable
-threshold and a learnable step per block) and refines the coarse image with
-a small residual convolution head. With ``frozen_blocks=True`` the block
-scalars are pinned to their physics-derived values (step 1/lmax, threshold
-lam/lmax, recomputed from whatever operator the forward pass is given),
-which is the non-learned ablation of the same architecture.
+blocks, the first iterations of :func:`~radarqi.fista.fista_iterates` with
+the nonnegative shrink (a ReLU with a learnable threshold and a learnable
+step per block), and refines the coarse image with a small residual
+convolution head. With ``frozen_blocks=True`` the block scalars are pinned
+to their physics-derived values (step 1/lmax, threshold lam/lmax,
+recomputed from whatever operator the forward pass is given), which is the
+non-learned ablation of the same architecture: that network holds no block
+parameters, only the head's.
 
 All gradients are exact reverse-mode, written out by hand; parameters live
 in a name-to-array dict so the optimizer and checkpoints stay model-agnostic.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DivergedError
-from .fista import ImagingOperator, momentum_coeffs
+from .fista import ImagingOperator, fista_iterates, momentum_coeffs, nonneg_shrink
 from .nn_ops import (
     conv2d_3x3_backward,
     conv2d_3x3_cached,
@@ -51,8 +53,8 @@ class LFistaResNet:
         initial step seeds the ReLU thresholds (and pins them when
         ``frozen_blocks``).
     frozen_blocks : bool
-        If True the block scalars are not trainable and are recomputed
-        from the operator at forward time.
+        If True the model holds no block parameters: the block scalars are
+        recomputed from the operator at forward time.
     seed : int
         Seeds the head's weight initialization.
     """
@@ -71,15 +73,15 @@ class LFistaResNet:
         self.frozen_blocks = frozen_blocks
         self.momentum = momentum_coeffs(self.n_blocks)
 
-        mu0 = 1.0 / op.lmax
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1F7A]))
         c = cfg.res_channels
-        self.params: dict[str, np.ndarray] = {
-            "block_mu_raw": np.full(self.n_blocks, softplus_inv(mu0)),
-            "block_theta_raw": np.full(self.n_blocks, softplus_inv(self.init_lam * mu0)),
-            "head_kernel": he_normal(rng, (3, 3, 1, c), 9),
-            "head_bias": np.zeros(c),
-        }
+        self.params: dict[str, np.ndarray] = {}
+        if not frozen_blocks:
+            mu0 = 1.0 / op.lmax
+            self.params["block_mu_raw"] = np.full(self.n_blocks, softplus_inv(mu0))
+            self.params["block_theta_raw"] = np.full(self.n_blocks, softplus_inv(self.init_lam * mu0))
+        self.params["head_kernel"] = he_normal(rng, (3, 3, 1, c), 9)
+        self.params["head_bias"] = np.zeros(c)
         for rb in range(1, self.n_res_blocks + 1):
             self.params[f"res{rb}_conv1_kernel"] = he_normal(rng, (3, 3, c, c), 9 * c)
             self.params[f"res{rb}_conv1_bias"] = np.zeros(c)
@@ -87,9 +89,6 @@ class LFistaResNet:
             self.params[f"res{rb}_conv2_bias"] = np.zeros(c)
         self.params["tail_kernel"] = he_normal(rng, (3, 3, c, 1), 9 * c)
         self.params["tail_bias"] = np.zeros(1)
-
-        block_names = ("block_mu_raw", "block_theta_raw") if frozen_blocks else ()
-        self.trainable_names = [n for n in self.params if n not in block_names]
 
     @property
     def kind(self) -> str:
@@ -109,20 +108,12 @@ class LFistaResNet:
     # ------------------------------------------------------------------
 
     def _unrolled(self, echoes: np.ndarray, op: ImagingOperator, collect: bool):
-        gram = op.gram
-        b = op.rhs(echoes)
-        mu, theta = self.block_scalars(op)
-        x_prev = np.zeros_like(b)
-        x = np.zeros_like(b)
+        """The coarse (n, P) maps and, if ``collect``, each block's residual
+        and active mask for the backward pass."""
         blocks = [] if collect else None
-        for i in range(self.n_blocks):
-            y = x + self.momentum[i] * (x - x_prev)
-            r = y @ gram - b
-            pre = y - mu[i] * r - theta[i]
-            out = relu(pre)
+        for x, _, r in fista_iterates(op, echoes, *self.block_scalars(op), nonneg_shrink):
             if collect:
-                blocks.append((r, pre > 0))
-            x_prev, x = x, out
+                blocks.append((r.copy(), x > 0))
         return x, blocks
 
     def lfista_stage(self, echoes: np.ndarray, op: ImagingOperator | None = None):
@@ -172,7 +163,7 @@ class LFistaResNet:
     # ------------------------------------------------------------------
 
     def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact gradients of sum(loss) for every trainable parameter.
+        """Exact gradients of sum(loss) for every parameter.
 
         ``dout`` is the upstream gradient w.r.t. the (n, P) output. With
         frozen blocks nothing before the head trains, so the pass stops at
@@ -249,7 +240,6 @@ class EchoDnn:
             "dense2_weight": he_normal(rng, (self.hidden, n_cells), self.hidden),
             "dense2_bias": np.zeros(n_cells),
         }
-        self.trainable_names = list(self.params)
 
     @staticmethod
     def echo_features(echoes: np.ndarray) -> np.ndarray:

@@ -81,9 +81,10 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict, names, lr: float) -> "AdamState":
+    def for_params(cls, params: dict, lr: float) -> "AdamState":
+        """Zeroed accumulators for every array in ``params``."""
         state = cls(lr=lr)
-        for name in names:
+        for name in params:
             state.m[name] = np.zeros_like(params[name])
             state.v[name] = np.zeros_like(params[name])
         return state
@@ -253,7 +254,7 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
     coordinates if the loss stops being finite.
     """
     schedule = PlateauSchedule(cfg.learning_rate, cfg.plateau_factor, cfg.plateau_patience)
-    adam = AdamState.for_params(model.params, model.trainable_names, schedule.lr)
+    adam = AdamState.for_params(model.params, schedule.lr)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x50F1E]))
 
     n_train = len(data.train_maps)

@@ -11,6 +11,7 @@ from conftest import run_cli
 from radarqi import io as rio
 from radarqi.cli import build_parser, main
 from radarqi.config import config_from_text
+from radarqi.training import load_checkpoint, save_checkpoint
 
 SMALL_CONFIG = """\
 side_cells = 8
@@ -173,6 +174,28 @@ def test_non_finite_echo_exits_4(two_runs):
     assert "iteration" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["fista", "infer", "eval"])
+def test_container_without_echoes_exits_3(two_runs, tmp_path, command):
+    workdir, config, (run1, _) = two_runs
+    echoes, meta = rio.load_echoes(run1 / "echoes_test.bin")
+    path = tmp_path / "no_echoes.bin"
+    keys = ("f0_hz", "bandwidth_hz", "n_freqs", "n_antennas", "snr_db", "seed")
+    rio.save_echoes(path, echoes[:0], **{k: meta[k] for k in keys})
+    inputs = {
+        "fista": ["--max-iter", "5"],
+        "infer": ["--checkpoint", str(run1 / "checkpoint_lfista_resnet.ckpt")],
+        "eval": ["--checkpoint-dir", str(run1)],
+    }[command]
+    out = tmp_path / "out"
+    proc = run_cli(
+        [command, "--config", str(config), "--out-dir", str(out), "--echoes", str(path), *inputs],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"{path}: the echo container holds no echoes" in proc.stderr
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("kind", ["fista_resnet", "lfista_resnet", "dnn"])
 def test_infer_on_a_non_finite_echo_exits_4(two_runs, tmp_path, kind):
     workdir, config, (run1, _) = two_runs
@@ -275,8 +298,9 @@ def test_header_key_listed_twice_exits_3(two_runs, tmp_path, name, line, command
         (b"\nres_blocks = 2\n", b"\nres_blocks = two\n"),
         (b"\n[config]\n", b"\n[config]\nantenna_count = 4\n"),
         (b"\ntrain_size = 24\n", b"\ntrain_size = 0\n"),
+        (b"\nseed = 0\n", b"\nseed = -1\n"),
     ],
-    ids=["bad_value", "unknown_key", "empty_split"],
+    ids=["bad_value", "unknown_key", "empty_split", "negative_seed"],
 )
 def test_checkpoint_with_a_bad_config_exits_3(two_runs, tmp_path, old, new):
     workdir, config, (run1, _) = two_runs
@@ -291,6 +315,26 @@ def test_checkpoint_with_a_bad_config_exits_3(two_runs, tmp_path, old, new):
     )
     assert proc.returncode == 3, proc.stderr
     assert f"{path}: bad checkpoint config" in proc.stderr
+
+def test_fista_resnet_checkpoint_with_block_arrays_exits_3(two_runs, tmp_path):
+    # fista_resnet holds no block parameters; a checkpoint that carries them
+    # is from before that change
+    workdir, config, (run1, _) = two_runs
+    ckpt = load_checkpoint(run1 / "checkpoint_fista_resnet.ckpt")
+    n_blocks = config_from_text(config.read_text()).n_blocks
+    blocks = {"block_mu_raw": np.zeros(n_blocks), "block_theta_raw": np.zeros(n_blocks)}
+    ckpt.params = {**blocks, **ckpt.params}
+    path = tmp_path / "old_fista_resnet.ckpt"
+    save_checkpoint(path, ckpt)
+    proc = run_cli(
+        ["infer", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+         "--echoes", str(run1 / "echoes_test.bin"), "--checkpoint", str(path)],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "unknown ['block_mu_raw', 'block_theta_raw']" in proc.stderr
+    assert not list((tmp_path / "out").glob("*.pgm"))
+
 
 def test_container_from_another_sweep_exits_3(two_runs):
     workdir, config, (run1, _) = two_runs
@@ -417,6 +461,7 @@ def with_line(line: str) -> str:
         ("frozen_lambda = nan", "train"),
         ("loss_lambda2 = inf", "train"),
         ("standoff_m = nan", "synth"),
+        ("seed = -1", "synth"),
     ],
 )
 def test_out_of_range_hyperparameter_exits_2(tmp_path, line, command):

@@ -15,7 +15,7 @@ from radarqi.training import PlateauSchedule, hybrid_loss_batch
 # Fields that ExperimentConfig bounds; every other field takes any finite value.
 POSITIVE_INTS = {"side_cells", "n_antennas", "n_freqs", "train_size", "val_size",
                  "test_size", "batch_size", "n_blocks", "res_channels", "fista_max_iter"}
-NON_NEGATIVE_INTS = {"epochs", "res_blocks", "plateau_patience"}
+NON_NEGATIVE_INTS = {"epochs", "res_blocks", "plateau_patience", "seed"}
 POSITIVE_FLOATS = {"cell_size_m", "f0_hz", "bandwidth_hz"}
 POSITIVE_WEIGHTS = {"frozen_lambda", "learning_rate"}
 NON_NEGATIVE_WEIGHTS = {"fista_lambda", "loss_lambda1", "loss_lambda2"}
@@ -77,7 +77,7 @@ NAN, INF = float("nan"), float("inf")
     "name, value",
     [
         ("n_blocks", 0), ("res_channels", 0), ("fista_max_iter", 0),
-        ("res_blocks", -1), ("plateau_patience", -1),
+        ("res_blocks", -1), ("plateau_patience", -1), ("seed", -1),
         ("fista_lambda", -0.001), ("fista_lambda", INF), ("fista_lambda", NAN),
         ("loss_lambda1", -0.1), ("loss_lambda2", INF),
         ("frozen_lambda", 0.0), ("frozen_lambda", NAN),

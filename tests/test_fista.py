@@ -9,9 +9,11 @@ from radarqi.fista import (
     fista_solve,
     fista_solve_many,
     momentum_coeffs,
+    nonneg_shrink,
     soft_threshold,
 )
 from radarqi.forward import synthesize_echoes
+from radarqi.nn_ops import relu
 
 
 class TestSoftThreshold:
@@ -39,6 +41,18 @@ class TestSoftThreshold:
             theta = float(rng.uniform(0, 2))
             lhs = np.linalg.norm(soft_threshold(a, theta) - soft_threshold(b, theta))
             assert lhs <= np.linalg.norm(a - b) + 1e-12
+
+
+class TestNonnegShrink:
+    def test_is_relu_of_the_shifted_input_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(4, 30))
+        theta = np.float64(0.37)
+        want = relu(x - theta)
+        np.testing.assert_array_equal(nonneg_shrink(x, theta), want)
+        out = np.full_like(x, np.nan)
+        assert nonneg_shrink(x, theta, out=out) is out
+        np.testing.assert_array_equal(out, want)
 
 
 class TestLipschitzConstant:

@@ -61,6 +61,12 @@ class TestEchoContainer:
         with pytest.raises(FormatError, match="expected one 2-D echoes array"):
             load_echoes(tmp_path / "bad.bin")
 
+    def test_container_without_echoes_rejected(self, tmp_path):
+        path = tmp_path / "echoes.bin"
+        write_container(path, count=0)
+        with pytest.raises(FormatError, match="holds no echoes"):
+            load_echoes(path)
+
     def test_length_must_match_sweep_and_array(self, tmp_path):
         # 6 samples per echo, but the header claims 4 frequencies x 2 antennas
         path = tmp_path / "echoes.bin"

@@ -6,7 +6,7 @@ import pytest
 from conftest import finite_difference_grad, relative_grad_error
 from radarqi import models
 from radarqi.config import ExperimentConfig
-from radarqi.fista import ImagingOperator
+from radarqi.fista import ImagingOperator, fista_iterates, nonneg_shrink
 from radarqi.forward import synthesize_echoes
 from radarqi.models import EchoDnn, LFistaResNet, build_model, predict_maps
 from radarqi.nn_ops import conv2d_3x3_backward, softplus_inv
@@ -43,26 +43,23 @@ def relu_fista_oracle(matrix, s, mu, theta, n_iters):
     return x
 
 
-def n_params(model, names=None) -> int:
-    """Parameter count over ``names`` (default: every parameter)."""
-    return sum(model.params[n].size for n in (model.params if names is None else names))
+def n_params(model) -> int:
+    return sum(arr.size for arr in model.params.values())
 
 
 class TestParameterBudgets:
     def test_lfista_resnet_total(self, table1_op):
         model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
         assert n_params(model) == 7419
-        assert n_params(model, model.trainable_names) == 7419
 
     def test_frozen_variant_trainable(self, table1_op):
         model = LFistaResNet(table1_op, ExperimentConfig(), True, 0)
-        assert n_params(model) == 7419
-        assert n_params(model, model.trainable_names) == 7379
+        assert n_params(model) == 7379
+        assert not [name for name in model.params if name.startswith("block_")]
 
     def test_dnn_total(self):
         model = EchoDnn(200, 784, 0)
         assert n_params(model) == 12634
-        assert n_params(model, model.trainable_names) == 12634
         # 400*10 + 10 + 10*784 + 784
         assert n_params(model) == 400 * 10 + 10 + 10 * 784 + 784
 
@@ -105,6 +102,20 @@ class TestUnrolledForward:
         want = relu_fista_oracle(matrix, s, mu, 0.01 * mu, 20)
         got = model.lfista_stage(s)[0]
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_frozen_stage_is_the_fista_iteration(self, table1_scene, table1_op):
+        # the frozen blocks are the first n_blocks FISTA iterations with the
+        # nonnegative shrink, step 1/lmax and threshold frozen_lambda/lmax
+        _, grid, _, _, matrix = table1_scene
+        rng = np.random.default_rng(2)
+        maps = rng.uniform(0, 1, (3, len(grid))) * (rng.uniform(size=(3, len(grid))) < 0.1)
+        echoes = synthesize_echoes(matrix, maps)
+        cfg = ExperimentConfig()
+        model = LFistaResNet(table1_op, cfg, True, 0)
+        mu = np.full(cfg.n_blocks, 1.0 / table1_op.lmax)
+        for x, _, _ in fista_iterates(table1_op, echoes, mu, cfg.frozen_lambda * mu, nonneg_shrink):
+            pass
+        np.testing.assert_array_equal(model.lfista_stage(echoes), x)
 
     def test_forward_deterministic(self):
         model = small_model(seed=3)
@@ -253,8 +264,8 @@ class TestBackward:
         weights = rng.normal(size=(2, 16))
         _, cache = model.forward_cached(echoes)
         grads = model.backward(cache, weights)
-        assert set(grads) == set(model.trainable_names)
-        for name in model.trainable_names:
+        assert set(grads) == set(model.params)
+        for name in model.params:
             def loss(_arr, name=name):
                 out = model.forward(echoes)
                 return float(np.sum(out * weights))
@@ -270,7 +281,7 @@ class TestBackward:
         weights = rng.normal(size=(3, 9))
         out, cache = model.forward_cached(echoes)
         grads = model.backward(cache, weights)
-        for name in model.trainable_names:
+        for name in model.params:
             def loss(_arr, name=name):
                 return float(np.sum(model.forward(echoes) * weights))
 

@@ -1,10 +1,12 @@
-"""Every radarqi attribute the benchmark's workloads call still exists.
+"""Every radarqi attribute the benchmark calls or wraps still exists.
 
 ``perfbench/workloads.py`` calls the program through module attributes
 (``fista.fista_solve_many``), so a function deleted or renamed in radarqi
 would crash a benchmark run with an AttributeError outside its operation
-counter. An ``ast`` scan lists those attributes without importing the
-benchmark.
+counter. ``perfbench/spans.py`` wraps the functions and methods its
+``TARGETS`` name and silently skips a name that is gone, so that span's
+per-layer rows would read 0. An ``ast`` scan lists both without importing
+the benchmark.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def radarqi_attributes(source: str) -> list[tuple[str, str]]:
@@ -62,3 +65,34 @@ def test_the_workloads_call_the_solver_and_the_models():
 @pytest.mark.parametrize("module, attr", CALLED, ids=[f"{m}.{a}" for m, a in CALLED])
 def test_called_attribute_exists(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+def span_targets(source: str) -> list[tuple[str, str, str, str | None]]:
+    """(span name, module, attribute, method or None) of each ``TARGETS`` entry."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [tuple(ast.literal_eval(e) for e in entry.elts[:4]) for entry in node.value.elts]
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+TARGETS = span_targets((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+
+# Span targets that radarqi no longer defines, each with its metric retired.
+RETIRED_SPANS = {"fista.power_iteration_lmax"}
+
+
+def test_the_spans_wrap_the_solver_and_the_unrolled_network():
+    names = {span for span, *_ in TARGETS}
+    assert {"fista.fista_solve", "models.LFistaResNet.backward"} <= names
+
+
+@pytest.mark.parametrize("span, module, attr, method", TARGETS, ids=[t[0] for t in TARGETS])
+def test_span_target_exists(span, module, attr, method):
+    owner = getattr(importlib.import_module(module), attr, None)
+    if span in RETIRED_SPANS:
+        assert owner is None, f"{span} exists again: drop it from RETIRED_SPANS"
+        return
+    assert owner is not None
+    if method is not None:
+        # spans wrap the method where the class itself defines it
+        assert method in vars(owner)
