@@ -4,8 +4,11 @@ iteration that the unrolled networks share.
 The unknown reflectivity is real while the data and operator are complex,
 so the smooth-term gradient restricted to real vectors is
 ``Re(A^H (A x - s)) = G x - b`` with ``G = Re(A^H A)`` and ``b = Re(A^H s)``.
-Both come from the stacked real operator ``B = [Re A; Im A]``, built once per
-operator: ``G = B^T B`` and ``b = [Re s, Im s] B``.
+``b = [Re s, Im s] B`` comes from the stacked real operator
+``B = [Re A; Im A]``. ``G`` is never formed: the scene is compressive, so
+``G = C^T C`` for a low-rank real factor ``C`` (178 x 784 at the paper
+geometry), and :meth:`ImagingOperator.normal` applies ``G`` to rows as two
+thin products, ``(y C^T) C``.
 
 :func:`fista_iterates` is the one FISTA iteration: momentum, a gradient step
 and a proximal step, with a step and a threshold per iteration. Two proxes
@@ -66,14 +69,29 @@ def momentum_coeffs(n_iters: int) -> np.ndarray:
 class ImagingOperator:
     """Precomputed real-unknown normal-equation pieces for one sensing matrix.
 
+    Both ``lmax`` and ``factor`` come from one eigendecomposition
+    ``A A^H = U diag(w) U^H`` of the m x m matrix, which costs O(m^3)
+    (m = 200 at the paper geometry) and has the nonzero spectrum of the
+    P x P ``A^H A``.
+
     Attributes
     ----------
     matrix : np.ndarray, shape (m, P)
         The complex forward operator.
+    n_cells : int
+        P, the number of grid cells.
     stacked : np.ndarray, shape (2m, P)
         The real operator B = [Re A; Im A], so that Re(A^H s) = [Re s, Im s] B.
-    gram : np.ndarray, shape (P, P)
-        Re(A^H A) = B^T B, C-contiguous and exactly symmetric.
+    factor : np.ndarray, shape (2k, P)
+        C = [Re F; Im F] with F = U_k^H A, C-contiguous, so that
+        Re(A^H A) = C^T C. U_k holds the k eigenvectors whose eigenvalue
+        exceeds ``eps * lmax`` (float64 machine epsilon); the ones below are
+        rounding noise of a rank-deficient A A^H. At the paper geometry
+        k = 89 of m = 200, so C is 178 x 784 and C^T C matches the dense
+        Re(A^H A) within 2e-15 of its largest entry. The eigenvalues next to
+        the cutoff are themselves rounding noise, so k moves by one or two
+        with the BLAS thread count and f0 (87-89 over 28-32 GHz). For a
+        matrix that is not compressive, 2k may exceed P.
     lmax : float
         Largest eigenvalue of the complex A^H A. It bounds the Lipschitz
         constant of the real-unknown gradient, lmax(Re(A^H A)), from above,
@@ -86,19 +104,21 @@ class ImagingOperator:
         if not np.any(self.matrix):
             raise ValueError("the imaging operator requires a nonzero matrix")
         self.stacked = np.concatenate([self.matrix.real, self.matrix.imag])
-        self.gram = self.stacked.T @ self.stacked
-        # A A^H (m x m) has the nonzero spectrum of A^H A (P x P) and is the
-        # smaller matrix when the scene is compressive (m < P).
-        self.lmax = float(np.linalg.eigvalsh(self.matrix @ self.matrix.conj().T)[-1])
-
-    @property
-    def n_cells(self) -> int:
-        return self.matrix.shape[1]
+        w, u = np.linalg.eigh(self.matrix @ self.matrix.conj().T)
+        self.lmax = float(w[-1])
+        f = u[:, w > np.finfo(np.float64).eps * self.lmax].conj().T @ self.matrix
+        self.factor = np.concatenate([f.real, f.imag])
+        self.n_cells = self.matrix.shape[1]
 
     def rhs(self, s: np.ndarray) -> np.ndarray:
         """b = Re(A^H s); accepts a single echo (m,) or a batch (n, m)."""
         s = np.asarray(s)
         return np.concatenate([s.real, s.imag], axis=-1) @ self.stacked
+
+    def normal(self, y: np.ndarray, out: np.ndarray | None = None, mid: np.ndarray | None = None) -> np.ndarray:
+        """y Re(A^H A) = (y C^T) C for rows y, (P,) or (n, P), written into
+        ``out`` if given; ``mid``, if given, takes the (n, 2k) product y C^T."""
+        return np.matmul(np.matmul(y, self.factor.T, out=mid), self.factor, out=out)
 
 
 @dataclass
@@ -148,7 +168,7 @@ def fista_iterates(op: ImagingOperator, echoes: np.ndarray, steps, thresholds, p
     Starting from x_0 = x_1 = 0, with b = op.rhs(echoes) and the momentum
     weights w_i of :func:`momentum_coeffs`, iteration i computes
 
-        y = x + w_i (x - x_prev),  r = y G - b,
+        y = x + w_i (x - x_prev),  r = op.normal(y) - b,
         x_next = prox(y - steps[i] * r, thresholds[i])
 
     on (n, P) rows and yields ``(x, x_prev, r)``: the new iterate, the one
@@ -161,11 +181,12 @@ def fista_iterates(op: ImagingOperator, echoes: np.ndarray, steps, thresholds, p
     x = np.zeros_like(b)
     y = np.empty_like(b)
     r = np.empty_like(b)
+    mid = np.empty((len(b), len(op.factor)))
     for w, step, theta in zip(weights, steps, thresholds):
         np.subtract(x, x_prev, out=y)
         y *= w
         y += x
-        np.matmul(y, op.gram, out=r)
+        op.normal(y, out=r, mid=mid)
         r -= b
         # x_prev is no longer needed: it takes the step, then the new iterate
         np.multiply(r, step, out=x_prev)
@@ -174,13 +195,16 @@ def fista_iterates(op: ImagingOperator, echoes: np.ndarray, steps, thresholds, p
         yield x, x_prev, r
 
 
-def _fista_loop(op: ImagingOperator, echoes: np.ndarray, cfg: FistaConfig):
+def _fista_loop(a, op: ImagingOperator | None, echoes: np.ndarray, cfg: FistaConfig):
     """Solve the (n, m) echoes with the fixed step 1 / lmax and the
-    soft threshold lam / lmax; with ``cfg.rel_tol`` it stops once every
-    echo's relative change is below it. Returns the (n, P) estimates, the
-    iterations run, and, if ``cfg.record_objective``, the (n, iterations + 1)
-    objective of each echo at each iterate, else None.
+    soft threshold lam / lmax, on ``op`` or, if None, an operator built from
+    ``a``; with ``cfg.rel_tol`` it stops once every echo's relative change
+    is below it. Returns the (n, P) estimates, the iterations run, and, if
+    ``cfg.record_objective``, the (n, iterations + 1) objective of each echo
+    at each iterate, else None.
     """
+    if op is None:
+        op = ImagingOperator(a)
     steps = np.full(cfg.max_iter, 1.0 / op.lmax)
     iterates = fista_iterates(op, echoes, steps, cfg.lam * steps, soft_threshold)
     x = np.zeros((len(echoes), op.n_cells))
@@ -215,9 +239,7 @@ def fista_solve(a, s: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None =
         If an iterate stops being finite; the message names the iteration.
     """
     s = np.asarray(s)
-    if op is None:
-        op = ImagingOperator(a)
-    x, iterations, trace = _fista_loop(op, np.atleast_2d(s), cfg)
+    x, iterations, trace = _fista_loop(a, op, np.atleast_2d(s), cfg)
     if s.ndim == 1:
         x, trace = x[0], None if trace is None else trace[0]
     return SolverResult(estimate=x, iterations_run=iterations, objective_trace=trace)
@@ -226,6 +248,4 @@ def fista_solve(a, s: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None =
 def fista_solve_many(a, echoes: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None = None) -> np.ndarray:
     """Batched solve: (n, m) echoes -> (n, P) estimates. Raises DivergedError
     like :func:`fista_solve`."""
-    if op is None:
-        op = ImagingOperator(a)
-    return _fista_loop(op, np.asarray(echoes), cfg)[0]
+    return _fista_loop(a, op, np.asarray(echoes), cfg)[0]

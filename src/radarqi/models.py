@@ -9,7 +9,9 @@ convolution head. With ``frozen_blocks=True`` the block scalars are pinned
 to their physics-derived values (step 1/lmax, threshold lam/lmax,
 recomputed from whatever operator the forward pass is given), which is the
 non-learned ablation of the same architecture: that network holds no block
-parameters, only the head's.
+parameters, only the head's. The blocks, and the backward pass through
+them, apply ``Re(A^H A)`` only through ``ImagingOperator.normal``, which
+multiplies by the operator's low-rank factor and never forms the P x P gram.
 
 All gradients are exact reverse-mode, written out by hand; parameters live
 in a name-to-array dict so the optimizer and checkpoints stay model-agnostic.
@@ -198,7 +200,6 @@ class LFistaResNet:
         d_coarse = d_img.reshape(n, self.side * self.side)
 
         op = cache["op"]
-        gram = op.gram
         mu, _ = self.block_scalars(op)
         d_mu = np.zeros(self.n_blocks)
         d_theta = np.zeros(self.n_blocks)
@@ -209,7 +210,7 @@ class LFistaResNet:
             dz = d_cur * mask
             d_theta[i] = -dz.sum()
             d_mu[i] = -np.sum(dz * r)
-            dy = dz - mu[i] * (dz @ gram)
+            dy = dz - mu[i] * op.normal(dz)
             g = self.momentum[i]
             d_cur = d_prev + (1.0 + g) * dy
             d_prev = -g * dy

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from radarqi.config import ExperimentConfig
+from radarqi.datasets import synthetic_digit_rasters
 from radarqi.errors import DivergedError
 from radarqi.fista import (
     FistaConfig,
@@ -13,6 +15,8 @@ from radarqi.fista import (
     soft_threshold,
 )
 from radarqi.forward import synthesize_echoes
+from radarqi.geometry import rasters_to_maps
+from radarqi.harness import F0_GRID_GHZ, build_scene
 from radarqi.nn_ops import relu
 
 
@@ -248,6 +252,27 @@ class TestFistaSolve:
             e0 = energy(matrix, s, np.zeros(len(grid)), lam)
             assert energy(matrix, s, result.estimate, lam) < e0
 
+    def test_matches_a_dense_gram_fista(self, table1_scene, table1_op):
+        # Straight-line FISTA on the dense Re(A^H A). On these digit echoes a
+        # factor cut at P * eps * lmax (144 rows, not 176-178) moves the estimates
+        # by about 3e-8 at 1,000 iterations; the kept rows by under 1e-9.
+        cfg, _, _, _, matrix = table1_scene
+        echoes = synthesize_echoes(matrix, rasters_to_maps(synthetic_digit_rasters(4, 0), cfg.side_cells))
+        lam, n_iter = 0.001, 1000
+        gram = (matrix.conj().T @ matrix).real
+        b = (echoes.conj() @ matrix).real
+        mu = 1.0 / np.linalg.eigvalsh(matrix @ matrix.conj().T)[-1]
+        x_prev = x = np.zeros_like(b)
+        t = 1.0
+        for _ in range(n_iter):
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y = x + (t - 1.0) / t_next * (x - x_prev)
+            z = y - mu * (y @ gram - b)
+            x_prev, x = x, np.sign(z) * np.maximum(np.abs(z) - lam * mu, 0.0)
+            t = t_next
+        got = fista_solve(matrix, echoes, FistaConfig(lam=lam, max_iter=n_iter), table1_op)
+        assert np.max(np.abs(got.estimate - x)) <= 1e-8
+
     @pytest.mark.parametrize(
         "lam, max_iter", [(float("nan"), 10), (float("inf"), 10), (-0.1, 10), (0.01, 0)]
     )
@@ -279,14 +304,46 @@ class TestImagingOperator:
         np.testing.assert_allclose(batch[0], single, atol=1e-12)
         np.testing.assert_allclose(batch[1], 2 * single, atol=1e-12)
 
-    def test_gram_is_contiguous_symmetric_real_part(self, table1_scene, table1_op):
+    def test_normal_applies_the_real_gram(self, table1_scene, table1_op):
         _, _, _, _, matrix = table1_scene
-        gram = table1_op.gram
-        assert gram.dtype == np.float64
-        assert gram.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(gram, gram.T)
-        dense = (matrix.conj().T @ matrix).real
-        assert np.max(np.abs(gram - dense)) <= 1e-12 * np.max(np.abs(dense))
+        rows = np.random.default_rng(13).normal(size=(5, matrix.shape[1]))
+        gram = (matrix.conj().T @ matrix).real
+        for y in (rows, rows[0]):
+            dense = y @ gram
+            assert np.max(np.abs(table1_op.normal(y) - dense)) <= 1e-12 * np.max(np.abs(dense))
+        out = np.empty_like(rows)
+        mid = np.empty((len(rows), len(table1_op.factor)))
+        assert table1_op.normal(rows, out=out, mid=mid) is out
+        np.testing.assert_array_equal(out, table1_op.normal(rows))
+        np.testing.assert_array_equal(mid, rows @ table1_op.factor.T)
+
+    @pytest.mark.parametrize("f0_ghz", F0_GRID_GHZ)
+    def test_factor_is_thinner_than_the_grid(self, f0_ghz):
+        # the grid includes the paper's 30 GHz
+        matrix = build_scene(ExperimentConfig(f0_hz=f0_ghz * 1e9))[3]
+        factor = ImagingOperator(matrix).factor
+        assert factor.flags["C_CONTIGUOUS"]
+        assert factor.shape[0] < factor.shape[1] == matrix.shape[1]
+        assert factor.shape[0] <= 2 * matrix.shape[0]
+
+    def test_holds_no_array_of_the_grid_squared(self, table1_op):
+        sizes = [v.size for v in vars(table1_op).values() if isinstance(v, np.ndarray)]
+        assert sizes and max(sizes) < table1_op.n_cells**2
+
+    @pytest.mark.parametrize("name", ["identity", "scalar", "submatrix"])
+    def test_normal_on_small_operators(self, name, table1_scene):
+        matrix = {
+            "identity": np.eye(4),
+            "scalar": np.array([[2.0]]),
+            "submatrix": table1_scene[4][:, :20],
+        }[name]
+        op = ImagingOperator(matrix)
+        y = np.random.default_rng(14).normal(size=(3, matrix.shape[1]))
+        dense = y @ (matrix.conj().T @ matrix).real
+        assert np.max(np.abs(op.normal(y) - dense)) <= 1e-12 * np.max(np.abs(dense))
+        if name == "submatrix":
+            # 200 echoes of 20 cells: the factor keeps more rows than cells
+            assert op.factor.shape[0] > matrix.shape[1]
 
     def test_column_norm_lower_bound(self, table1_scene, table1_op):
         # columns of A have norm sqrt(m) so lmax >= m
