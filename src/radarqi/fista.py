@@ -1,14 +1,16 @@
 """L1-regularized least-squares reconstruction with FISTA, and the FISTA
 iteration that the unrolled networks share.
 
-The unknown reflectivity is real while the data and operator are complex,
-so the smooth-term gradient restricted to real vectors is
-``Re(A^H (A x - s)) = G x - b`` with ``G = Re(A^H A)`` and ``b = Re(A^H s)``.
-``b = [Re s, Im s] B`` comes from the stacked real operator
-``B = [Re A; Im A]``. ``G`` is never formed: the scene is compressive, so
-``G = C^T C`` for a low-rank real factor ``C`` (178 x 784 at the paper
-geometry), and :meth:`ImagingOperator.normal` applies ``G`` to rows as two
-thin products, ``(y C^T) C``.
+The unknown reflectivity is real while the data and operator are complex.
+The scene is compressive, so ``A A^H = U diag(w) U^H`` has only k eigenvalues
+above rounding noise, and an echo enters every physics computation through
+its 2k real range coordinates ``z = [Re U_k^H s, Im U_k^H s]``
+(:meth:`ImagingOperator.coords`). With the real factor
+``C = [Re U_k^H A; Im U_k^H A]`` (178 x 784 at the paper geometry), the one
+data residual is ``C x - z``. The smooth-term gradient restricted to real
+vectors is ``C^T (C x - z) = G x - b`` with ``G = Re(A^H A) = C^T C`` and
+``b = C^T z``, which is ``Re(A^H s)`` up to the dropped eigenvectors. Neither
+``G`` nor ``b`` is formed: the gradient is two thin products.
 
 :func:`fista_iterates` is the one FISTA iteration: momentum, a gradient step
 and a proximal step, with a step and a threshold per iteration. Two proxes
@@ -69,7 +71,7 @@ def momentum_coeffs(n_iters: int) -> np.ndarray:
 class ImagingOperator:
     """Precomputed real-unknown normal-equation pieces for one sensing matrix.
 
-    Both ``lmax`` and ``factor`` come from one eigendecomposition
+    ``lmax``, ``basis`` and ``factor`` all come from one eigendecomposition
     ``A A^H = U diag(w) U^H`` of the m x m matrix, which costs O(m^3)
     (m = 200 at the paper geometry) and has the nonzero spectrum of the
     P x P ``A^H A``.
@@ -80,45 +82,46 @@ class ImagingOperator:
         The complex forward operator.
     n_cells : int
         P, the number of grid cells.
-    stacked : np.ndarray, shape (2m, P)
-        The real operator B = [Re A; Im A], so that Re(A^H s) = [Re s, Im s] B.
+    basis : np.ndarray, shape (m, k)
+        U_k, the k eigenvectors whose eigenvalue exceeds ``eps * lmax``
+        (float64 machine epsilon); the ones below are rounding noise of a
+        rank-deficient A A^H. At the paper geometry k = 89 of m = 200. The
+        eigenvalues next to the cutoff are themselves rounding noise, so k
+        moves by one or two with the BLAS thread count and f0 (87-89 over
+        28-32 GHz).
     factor : np.ndarray, shape (2k, P)
         C = [Re F; Im F] with F = U_k^H A, C-contiguous, so that
-        Re(A^H A) = C^T C. U_k holds the k eigenvectors whose eigenvalue
-        exceeds ``eps * lmax`` (float64 machine epsilon); the ones below are
-        rounding noise of a rank-deficient A A^H. At the paper geometry
-        k = 89 of m = 200, so C is 178 x 784 and C^T C matches the dense
-        Re(A^H A) within 2e-15 of its largest entry. The eigenvalues next to
-        the cutoff are themselves rounding noise, so k moves by one or two
-        with the BLAS thread count and f0 (87-89 over 28-32 GHz). For a
-        matrix that is not compressive, 2k may exceed P.
+        Re(A^H A) = C^T C within 2e-15 of its largest entry at the paper
+        geometry, where C is 178 x 784. For a matrix that is not
+        compressive, 2k may exceed P.
     lmax : float
         Largest eigenvalue of the complex A^H A. It bounds the Lipschitz
-        constant of the real-unknown gradient, lmax(Re(A^H A)), from above,
-        so the step 1 / lmax is safe but conservative: at the paper
-        geometry lmax is 15,534 while lmax(Re(A^H A)) = lmax(B B^T) is 7,769.
+        constant of the real-unknown gradient, lmax(C C^T), from above, so
+        the step 1 / lmax is safe but conservative: at the paper geometry
+        lmax is 15,534 while lmax(C C^T) is 7,769.
     """
 
     def __init__(self, a):
         self.matrix = np.asarray(a)
         if not np.any(self.matrix):
             raise ValueError("the imaging operator requires a nonzero matrix")
-        self.stacked = np.concatenate([self.matrix.real, self.matrix.imag])
         w, u = np.linalg.eigh(self.matrix @ self.matrix.conj().T)
         self.lmax = float(w[-1])
-        f = u[:, w > np.finfo(np.float64).eps * self.lmax].conj().T @ self.matrix
+        self.basis = u[:, w > np.finfo(np.float64).eps * self.lmax]
+        f = self.basis.conj().T @ self.matrix
         self.factor = np.concatenate([f.real, f.imag])
         self.n_cells = self.matrix.shape[1]
 
-    def rhs(self, s: np.ndarray) -> np.ndarray:
-        """b = Re(A^H s); accepts a single echo (m,) or a batch (n, m)."""
-        s = np.asarray(s)
-        return np.concatenate([s.real, s.imag], axis=-1) @ self.stacked
+    def coords(self, echoes: np.ndarray) -> np.ndarray:
+        """Range coordinates z = [Re U_k^H s, Im U_k^H s] of one echo (m,)
+        or a batch (n, m): (2k,) or (n, 2k). ``z @ factor`` is Re(A^H s) up
+        to the dropped eigenvectors, within sqrt(eps * lmax) * ||s||."""
+        z = np.asarray(echoes) @ self.basis.conj()
+        return np.concatenate([z.real, z.imag], axis=-1)
 
-    def normal(self, y: np.ndarray, out: np.ndarray | None = None, mid: np.ndarray | None = None) -> np.ndarray:
-        """y Re(A^H A) = (y C^T) C for rows y, (P,) or (n, P), written into
-        ``out`` if given; ``mid``, if given, takes the (n, 2k) product y C^T."""
-        return np.matmul(np.matmul(y, self.factor.T, out=mid), self.factor, out=out)
+    def normal(self, y: np.ndarray) -> np.ndarray:
+        """y Re(A^H A) = (y C^T) C for rows y, (P,) or (n, P)."""
+        return (y @ self.factor.T) @ self.factor
 
 
 @dataclass
@@ -148,46 +151,52 @@ class SolverResult:
     objective_trace: np.ndarray | None = None
 
 
-def energy(a, s: np.ndarray, eps: np.ndarray, lam: float):
-    """Objective 0.5 * ||s - A eps||_2^2 + lam * ||eps||_1.
+def energy(op: ImagingOperator, s: np.ndarray, eps: np.ndarray, lam: float):
+    """Objective over the range coordinates, 0.5 * ||C eps - z||_2^2 +
+    lam * ||eps||_1 with z = op.coords(s).
+
+    It is the full objective 0.5 * ||s - A eps||_2^2 + lam * ||eps||_1 less
+    0.5 * (||s||^2 - ||z||^2), a constant per echo that does not depend on
+    the estimate: about 0 for a noise-free echo, and half the noise energy
+    outside the operator's range for a noisy one.
 
     One echo (m,) with its estimate (P,) gives a float; a batch (n, m) with
     (n, P) estimates gives the (n,) values of its rows.
     """
     eps = np.asarray(eps, dtype=np.float64)
-    residual = np.asarray(s) - eps @ np.asarray(a).T
-    value = 0.5 * np.sum(residual.real**2 + residual.imag**2, axis=-1) + lam * np.sum(
-        np.abs(eps), axis=-1
-    )
+    residual = eps @ op.factor.T - op.coords(s)
+    value = 0.5 * np.sum(residual**2, axis=-1) + lam * np.sum(np.abs(eps), axis=-1)
     return float(value) if value.ndim == 0 else value
 
 
 def fista_iterates(op: ImagingOperator, echoes: np.ndarray, steps, thresholds, prox):
     """Run FISTA on the (n, m) echoes, one iteration per entry of ``steps``.
 
-    Starting from x_0 = x_1 = 0, with b = op.rhs(echoes) and the momentum
-    weights w_i of :func:`momentum_coeffs`, iteration i computes
+    Starting from x_0 = x_1 = 0, with C = op.factor, z = op.coords(echoes)
+    and the momentum weights w_i of :func:`momentum_coeffs`, iteration i
+    computes
 
-        y = x + w_i (x - x_prev),  r = op.normal(y) - b,
+        y = x + w_i (x - x_prev),  r = (y C^T - z) C,
         x_next = prox(y - steps[i] * r, thresholds[i])
 
     on (n, P) rows and yields ``(x, x_prev, r)``: the new iterate, the one
-    before it and the residual at y. The yielded arrays are buffers that the
-    next iteration overwrites; copy what must outlive it.
+    before it and the gradient G y - b at y. The yielded arrays are buffers
+    that the next iteration overwrites; copy what must outlive it.
     """
-    b = op.rhs(echoes)
+    z = op.coords(echoes)
     weights = momentum_coeffs(len(steps))
-    x_prev = np.zeros_like(b)
-    x = np.zeros_like(b)
-    y = np.empty_like(b)
-    r = np.empty_like(b)
-    mid = np.empty((len(b), len(op.factor)))
+    x_prev = np.zeros((len(z), op.n_cells))
+    x = np.zeros_like(x_prev)
+    y = np.empty_like(x_prev)
+    r = np.empty_like(x_prev)
+    mid = np.empty_like(z)
     for w, step, theta in zip(weights, steps, thresholds):
         np.subtract(x, x_prev, out=y)
         y *= w
         y += x
-        op.normal(y, out=r, mid=mid)
-        r -= b
+        np.matmul(y, op.factor.T, out=mid)
+        mid -= z
+        np.matmul(mid, op.factor, out=r)
         # x_prev is no longer needed: it takes the step, then the new iterate
         np.multiply(r, step, out=x_prev)
         np.subtract(y, x_prev, out=y)
@@ -208,7 +217,7 @@ def _fista_loop(a, op: ImagingOperator | None, echoes: np.ndarray, cfg: FistaCon
     steps = np.full(cfg.max_iter, 1.0 / op.lmax)
     iterates = fista_iterates(op, echoes, steps, cfg.lam * steps, soft_threshold)
     x = np.zeros((len(echoes), op.n_cells))
-    trace = [energy(op.matrix, echoes, x, cfg.lam)] if cfg.record_objective else None
+    trace = [energy(op, echoes, x, cfg.lam)] if cfg.record_objective else None
     iterations = 0
     # Overflow is reported by the isfinite check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,7 +226,7 @@ def _fista_loop(a, op: ImagingOperator | None, echoes: np.ndarray, cfg: FistaCon
             if not np.isfinite(x).all():
                 raise DivergedError(f"non-finite iterate at iteration {iterations}")
             if trace is not None:
-                trace.append(energy(op.matrix, echoes, x, cfg.lam))
+                trace.append(energy(op, echoes, x, cfg.lam))
             if cfg.rel_tol is not None:
                 change = np.linalg.norm(x - x_prev, axis=1)
                 denom = np.maximum(np.linalg.norm(x_prev, axis=1), 1e-300)

@@ -43,8 +43,10 @@ from .training import TrainingData, fit, load_checkpoint, restore_model, save_ch
 
 NETWORK_KINDS = ("fista_resnet", "lfista_resnet", "dnn")
 
+# Unsourced: PAPER.md holds only the abstract, and no run of this code
+# reproduces these numbers. They are printed for comparison, not checked.
 REFERENCE_FULL_SCALE = (
-    "reference (full-scale training): fista mse=0.0124 ssim=0.872; "
+    "unsourced full-scale reference, not reproduced here: fista mse=0.0124 ssim=0.872; "
     "fista_resnet mse=0.0065 ssim=0.925; lfista_resnet mse=0.0049 ssim=0.945; "
     "dnn mse=0.0263 ssim=0.661"
 )

@@ -9,9 +9,11 @@ convolution head. With ``frozen_blocks=True`` the block scalars are pinned
 to their physics-derived values (step 1/lmax, threshold lam/lmax,
 recomputed from whatever operator the forward pass is given), which is the
 non-learned ablation of the same architecture: that network holds no block
-parameters, only the head's. The blocks, and the backward pass through
-them, apply ``Re(A^H A)`` only through ``ImagingOperator.normal``, which
-multiplies by the operator's low-rank factor and never forms the P x P gram.
+parameters, only the head's. Neither pass forms the P x P ``Re(A^H A)``:
+the blocks take their gradient from ``fista_iterates``' range residual on
+the operator's low-rank factor, and the backward pass through them applies
+``Re(A^H A)`` through ``ImagingOperator.normal``, two thin products with
+that factor.
 
 All gradients are exact reverse-mode, written out by hand; parameters live
 in a name-to-array dict so the optimizer and checkpoints stay model-agnostic.

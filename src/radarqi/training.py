@@ -10,7 +10,12 @@ Optimizer state stays in memory; nothing resumes a fit.
 The loss on one sample combines image fidelity, sparsity of the error, and
 physics consistency of the prediction with the measured echo:
 
-    L = ||e - p||_2^2 + lambda1 * ||e - p||_1 + lambda2 * ||s - A p||_2^2
+    L = ||e - p||_2^2 + lambda1 * ||e - p||_1 + lambda2 * ||C p - z||_2^2
+
+where ``C = op.factor`` and ``z = op.coords(s)`` are the operator's real
+factor and the echo's range coordinates (see :mod:`radarqi.fista`). The
+physics term is ``||s - A p||_2^2`` less ``||s||^2 - ||z||^2``, a constant
+per echo that does not depend on the prediction.
 
 The loss weights, the learning rate and the plateau schedule's factor and
 patience come from the run's :class:`~radarqi.config.ExperimentConfig`,
@@ -40,25 +45,24 @@ CHECKPOINT_MAGIC = "radarqi-checkpoint"
 CHECKPOINT_VERSION = 3
 
 
-def hybrid_loss_batch(eps_true, eps_hat, echoes, matrix, lambda1: float, lambda2: float):
+def hybrid_loss_batch(eps_true, eps_hat, echoes, op: ImagingOperator, lambda1: float, lambda2: float):
     """Mean loss over an (n, P) batch and the gradient of that mean, (n, P).
 
     A single sample is a batch of one. The L1 subgradient at exact ties is
-    0. The physics-term gradient for a real-valued prediction is
-    2 * lambda2 * Re(A^H (A p - s)).
+    0. The physics term is lambda2 * ||r||^2 on the range residual
+    r = C p - z, with gradient 2 * lambda2 * r C. It drops the per-echo
+    constant ||s||^2 - ||z||^2 of the full ||s - A p||^2: about 0 for a
+    noise-free echo, and the noise energy outside the operator's range for
+    a noisy one.
     """
     diff = eps_hat - eps_true
-    residual = echoes - eps_hat @ matrix.T
+    residual = eps_hat @ op.factor.T - op.coords(echoes)
     values = (
         np.sum(diff * diff, axis=1)
         + lambda1 * np.sum(np.abs(diff), axis=1)
-        + lambda2 * np.sum(np.abs(residual) ** 2, axis=1)
+        + lambda2 * np.sum(residual * residual, axis=1)
     )
-    grad_sum = (
-        2.0 * diff
-        + lambda1 * np.sign(diff)
-        - 2.0 * lambda2 * (residual @ matrix.conj()).real
-    )
+    grad_sum = 2.0 * diff + lambda1 * np.sign(diff) + 2.0 * lambda2 * (residual @ op.factor)
     return float(np.mean(values)), grad_sum / len(values)
 
 
@@ -239,7 +243,7 @@ class TrainingData:
 def _validation_metrics(model, op, data: TrainingData, cfg: ExperimentConfig):
     pred = predict_maps(model, data.val_echoes, op)
     loss, _ = hybrid_loss_batch(
-        data.val_maps, pred, data.val_echoes, op.matrix, cfg.loss_lambda1, cfg.loss_lambda2
+        data.val_maps, pred, data.val_echoes, op, cfg.loss_lambda1, cfg.loss_lambda2
     )
     mses, ssims = image_quality(data.val_maps, pred, cfg.side_cells)
     return loss, float(np.mean(mses)), float(np.mean(ssims))
@@ -272,7 +276,7 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
             idx = order[start : start + cfg.batch_size]
             out, cache = model.forward_cached(data.train_echoes[idx], op)
             loss, dout = hybrid_loss_batch(
-                data.train_maps[idx], out, data.train_echoes[idx], op.matrix,
+                data.train_maps[idx], out, data.train_echoes[idx], op,
                 cfg.loss_lambda1, cfg.loss_lambda2,
             )
             if not np.isfinite(loss):

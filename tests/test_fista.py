@@ -105,15 +105,15 @@ class TestEnergy:
     def test_zero_estimate(self):
         a = np.eye(3)
         s = np.array([1.0, 2.0, 2.0])
-        assert energy(a, s, np.zeros(3), 0.5) == pytest.approx(4.5)
+        assert energy(ImagingOperator(a), s, np.zeros(3), 0.5) == pytest.approx(4.5)
 
-    def test_zero_residual(self, table1_scene):
+    def test_zero_residual(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(4)
         eps = np.zeros(len(grid))
         eps[rng.integers(0, len(grid), 10)] = rng.uniform(0, 1, 10)
         s = synthesize_echoes(matrix, eps[None])[0]
-        assert energy(matrix, s, eps, 0.01) == pytest.approx(0.01 * np.sum(np.abs(eps)))
+        assert energy(table1_op, s, eps, 0.01) == pytest.approx(0.01 * np.sum(np.abs(eps)))
 
     def test_term_by_term_oracle(self):
         rng = np.random.default_rng(5)
@@ -123,18 +123,42 @@ class TestEnergy:
         lam = 0.3
         residual = s - a @ eps
         expected = 0.5 * np.sum(np.abs(residual) ** 2) + lam * np.sum(np.abs(eps))
-        assert energy(a, s, eps, lam) == pytest.approx(expected, abs=1e-12)
+        assert energy(ImagingOperator(a), s, eps, lam) == pytest.approx(expected, abs=1e-12)
 
-    def test_batch_rows_match_single_echo(self, table1_scene):
+    def test_batch_rows_match_single_echo(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(13)
         maps = rng.uniform(0, 1, (4, len(grid))) * (rng.uniform(size=(4, len(grid))) < 0.1)
         echoes = synthesize_echoes(matrix, maps) + rng.normal(size=(4, matrix.shape[0]))
-        batch = energy(matrix, echoes, maps, 0.01)
+        batch = energy(table1_op, echoes, maps, 0.01)
         assert batch.shape == (4,)
-        single = [energy(matrix, s, eps, 0.01) for s, eps in zip(echoes, maps)]
+        single = [energy(table1_op, s, eps, 0.01) for s, eps in zip(echoes, maps)]
         assert all(isinstance(v, float) for v in single)
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+    def test_matches_the_dense_objective_on_noise_free_echoes(self, table1_scene, table1_op):
+        cfg, _, _, _, matrix = table1_scene
+        maps = rasters_to_maps(synthetic_digit_rasters(6, 0), cfg.side_cells)
+        echoes = synthesize_echoes(matrix, maps[:3])
+        residual = echoes - maps[3:] @ matrix.T
+        dense = 0.5 * np.sum(np.abs(residual) ** 2, axis=1) + 0.01 * np.sum(maps[3:], axis=1)
+        np.testing.assert_allclose(energy(table1_op, echoes, maps[3:], 0.01), dense, rtol=1e-12)
+
+    def test_drops_a_constant_per_noisy_echo(self, table1_scene, table1_op):
+        # The full objective less 0.5 * (||s||^2 - ||z||^2), whatever the
+        # estimate, up to A eps on the dropped eigenvectors: at most
+        # d = sqrt(eps * lmax) * ||eps||, which moves the value by at most
+        # ||s|| d + d^2 / 2.
+        _, grid, _, _, matrix = table1_scene
+        rng = np.random.default_rng(15)
+        s = rng.normal(size=matrix.shape[0]) + 1j * rng.normal(size=matrix.shape[0])
+        offset = 0.5 * (np.sum(np.abs(s) ** 2) - np.sum(table1_op.coords(s) ** 2))
+        assert offset > 1.0
+        for eps in (np.zeros(len(grid)), rng.uniform(0, 0.01, len(grid))):
+            dense = 0.5 * np.sum(np.abs(s - matrix @ eps) ** 2) + 0.01 * np.sum(eps)
+            d = np.sqrt(np.finfo(np.float64).eps * table1_op.lmax) * np.linalg.norm(eps)
+            bound = np.linalg.norm(s) * d + d * d / 2 + 1e-12 * dense
+            assert abs(energy(table1_op, s, eps, 0.01) - (dense - offset)) <= bound
 
 
 class TestFistaSolve:
@@ -249,8 +273,8 @@ class TestFistaSolve:
             s = synthesize_echoes(matrix, eps[None])[0]
             cfg = FistaConfig(lam=lam, max_iter=100)
             result = fista_solve(matrix, s, cfg, op=table1_op)
-            e0 = energy(matrix, s, np.zeros(len(grid)), lam)
-            assert energy(matrix, s, result.estimate, lam) < e0
+            e0 = energy(table1_op, s, np.zeros(len(grid)), lam)
+            assert energy(table1_op, s, result.estimate, lam) < e0
 
     def test_matches_a_dense_gram_fista(self, table1_scene, table1_op):
         # Straight-line FISTA on the dense Re(A^H A). On these digit echoes a
@@ -293,16 +317,36 @@ class TestGradientStepOperator:
 
 
 class TestImagingOperator:
-    def test_rhs_single_and_batch(self, table1_scene, table1_op):
+    def test_coords_single_and_batch(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(9)
         s = rng.normal(size=matrix.shape[0]) + 1j * rng.normal(
             size=matrix.shape[0]
         )
-        single = table1_op.rhs(s)
-        batch = table1_op.rhs(np.stack([s, 2 * s]))
+        single = table1_op.coords(s)
+        assert single.shape == (len(table1_op.factor),)
+        batch = table1_op.coords(np.stack([s, 2 * s]))
         np.testing.assert_allclose(batch[0], single, atol=1e-12)
         np.testing.assert_allclose(batch[1], 2 * single, atol=1e-12)
+
+    def test_coords_give_the_dense_rhs_of_synthesized_echoes(self, table1_scene, table1_op):
+        cfg, _, _, _, matrix = table1_scene
+        echoes = synthesize_echoes(matrix, rasters_to_maps(synthetic_digit_rasters(5, 0), cfg.side_cells))
+        dense = (echoes @ matrix.conj()).real
+        got = table1_op.coords(echoes) @ table1_op.factor
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("f0_ghz", F0_GRID_GHZ)
+    def test_coords_miss_only_the_dropped_eigenvectors(self, f0_ghz):
+        # Re(A^H s) loses at most the part of s on eigenvectors below
+        # eps * lmax, whose singular values are at most sqrt(eps * lmax)
+        matrix = build_scene(ExperimentConfig(f0_hz=f0_ghz * 1e9))[3]
+        op = ImagingOperator(matrix)
+        rng = np.random.default_rng(16)
+        s = rng.normal(size=(4, matrix.shape[0])) + 1j * rng.normal(size=(4, matrix.shape[0]))
+        error = np.linalg.norm(op.coords(s) @ op.factor - (s @ matrix.conj()).real, axis=1)
+        bound = np.sqrt(np.finfo(np.float64).eps * op.lmax) * np.linalg.norm(s, axis=1)
+        assert np.all(error <= bound)
 
     def test_normal_applies_the_real_gram(self, table1_scene, table1_op):
         _, _, _, _, matrix = table1_scene
@@ -311,11 +355,6 @@ class TestImagingOperator:
         for y in (rows, rows[0]):
             dense = y @ gram
             assert np.max(np.abs(table1_op.normal(y) - dense)) <= 1e-12 * np.max(np.abs(dense))
-        out = np.empty_like(rows)
-        mid = np.empty((len(rows), len(table1_op.factor)))
-        assert table1_op.normal(rows, out=out, mid=mid) is out
-        np.testing.assert_array_equal(out, table1_op.normal(rows))
-        np.testing.assert_array_equal(mid, rows @ table1_op.factor.T)
 
     @pytest.mark.parametrize("f0_ghz", F0_GRID_GHZ)
     def test_factor_is_thinner_than_the_grid(self, f0_ghz):

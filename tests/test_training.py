@@ -9,9 +9,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import finite_difference_grad, relative_grad_error
 from radarqi.config import ExperimentConfig
+from radarqi.datasets import synthetic_digit_rasters
 from radarqi.errors import FormatError
 from radarqi.fista import FistaConfig, ImagingOperator, fista_solve_many
 from radarqi.forward import noisy_echoes, synthesize_echoes
+from radarqi.geometry import rasters_to_maps
 from radarqi.harness import (
     NETWORK_KINDS,
     _runners,
@@ -42,22 +44,22 @@ from radarqi.training import (
 )
 
 
-def loss_one(eps_true, eps_hat, s, a, lambda1, lambda2):
+def loss_one(eps_true, eps_hat, s, op, lambda1, lambda2):
     """Loss value and gradient for one sample, as a batch of one."""
     value, grad = hybrid_loss_batch(
-        np.asarray(eps_true)[None], np.asarray(eps_hat)[None], np.asarray(s)[None], a,
+        np.asarray(eps_true)[None], np.asarray(eps_hat)[None], np.asarray(s)[None], op,
         lambda1, lambda2,
     )
     return value, grad[0]
 
 
 class TestHybridLoss:
-    def test_zero_at_perfect_prediction(self, table1_scene):
+    def test_zero_at_perfect_prediction(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(0)
         eps = rng.uniform(0, 1, len(grid)) * (rng.uniform(size=len(grid)) < 0.2)
         s = synthesize_echoes(matrix, eps[None])[0]
-        value, grad = loss_one(eps, eps, s, matrix, 0.1, 0.05)
+        value, grad = loss_one(eps, eps, s, table1_op, 0.1, 0.05)
         assert value < 1e-10
         # away from the data term everything cancels; only L1 ties remain at 0
         np.testing.assert_allclose(grad, 0.0, atol=1e-9)
@@ -66,7 +68,7 @@ class TestHybridLoss:
         a = np.eye(4)
         s = np.array([1.0, 2.0, 0.0, 0.0])
         w = (0.1, 0.05)
-        value, _ = loss_one(np.zeros(4), np.zeros(4), s, a, *w)
+        value, _ = loss_one(np.zeros(4), np.zeros(4), s, ImagingOperator(a), *w)
         assert value == pytest.approx(0.05 * 5.0)
 
     def test_term_by_term_oracle(self):
@@ -76,7 +78,7 @@ class TestHybridLoss:
         pred = rng.uniform(0, 1, 9)
         s = a @ truth
         w = (0.1, 0.05)
-        value, _ = loss_one(truth, pred, s, a, *w)
+        value, _ = loss_one(truth, pred, s, ImagingOperator(a), *w)
         diff = truth - pred
         expected = (
             np.sum(diff**2)
@@ -88,46 +90,85 @@ class TestHybridLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        op = ImagingOperator(a)
         truth = rng.uniform(0, 1, 9)
         pred = truth + rng.uniform(0.05, 0.3, 9) * rng.choice([-1, 1], 9)
         s = a @ truth
         w = (0.1, 0.05)
-        _, grad = loss_one(truth, pred, s, a, *w)
-        fd = finite_difference_grad(lambda v: loss_one(truth, v, s, a, *w)[0], pred.copy())
+        _, grad = loss_one(truth, pred, s, op, *w)
+        fd = finite_difference_grad(lambda v: loss_one(truth, v, s, op, *w)[0], pred.copy())
+        assert relative_grad_error(grad, fd) < 1e-4
+
+    def test_gradient_matches_finite_differences_on_noisy_echoes_of_a_compressive_operator(self):
+        # rank 3 of m = 6 echoes for P = 9 cells: the noise leaves the range
+        rng = np.random.default_rng(6)
+        a = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))) @ rng.normal(size=(3, 9))
+        op = ImagingOperator(a)
+        assert len(op.factor) == 6
+        truth = rng.uniform(0, 1, 9)
+        pred = truth + rng.uniform(0.05, 0.3, 9) * rng.choice([-1, 1], 9)
+        s = noisy_echoes((a @ truth)[None], 10.0, seed=3)[0]
+        w = (0.1, 0.05)
+        _, grad = loss_one(truth, pred, s, op, *w)
+        fd = finite_difference_grad(lambda v: loss_one(truth, v, s, op, *w)[0], pred.copy())
         assert relative_grad_error(grad, fd) < 1e-4
 
     def test_decomposition(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        op = ImagingOperator(a)
         truth = rng.uniform(0, 1, 8)
         pred = rng.uniform(0, 1, 8)
         s = a @ truth
-        mse_term = loss_one(truth, pred, s, a, 0.0, 0.0)[0]
-        l1_term = loss_one(truth, pred, s, a, 1.0, 0.0)[0] - mse_term
-        phys_term = loss_one(truth, pred, s, a, 0.0, 1.0)[0] - mse_term
-        total = loss_one(truth, pred, s, a, 0.1, 0.05)[0]
+        mse_term = loss_one(truth, pred, s, op, 0.0, 0.0)[0]
+        l1_term = loss_one(truth, pred, s, op, 1.0, 0.0)[0] - mse_term
+        phys_term = loss_one(truth, pred, s, op, 0.0, 1.0)[0] - mse_term
+        total = loss_one(truth, pred, s, op, 0.1, 0.05)[0]
         assert total == pytest.approx(mse_term + 0.1 * l1_term + 0.05 * phys_term, abs=1e-12)
 
-    def test_physics_term_equals_injected_noise_power(self, table1_scene):
+    def test_physics_term_equals_injected_noise_power(self, table1_scene, table1_op):
+        # at the true map the term is the noise on the operator's own kept
+        # eigenvectors, ||U_k^H (noisy - clean)||^2, not the full noise power
         _, grid, _, _, matrix = table1_scene
         rng = np.random.default_rng(4)
         eps = rng.uniform(0, 1, len(grid)) * (rng.uniform(size=len(grid)) < 0.2)
         clean = synthesize_echoes(matrix, eps[None])
         noisy = noisy_echoes(clean, 10.0, seed=7)
         w = (0.0, 1.0)
-        value, _ = loss_one(eps, eps, noisy[0], matrix, *w)
-        injected = np.sum(np.abs(noisy - clean) ** 2)
+        value, _ = loss_one(eps, eps, noisy[0], table1_op, *w)
+        injected = np.sum(np.abs((noisy - clean) @ table1_op.basis.conj()) ** 2)
         assert value == pytest.approx(injected, rel=1e-12)
+
+    def test_matches_the_dense_loss_on_noise_free_echoes(self, table1_scene, table1_op):
+        cfg, _, _, _, matrix = table1_scene
+        maps = rasters_to_maps(synthetic_digit_rasters(8, 0), cfg.side_cells)
+        truth, pred = maps[:4], maps[4:]
+        echoes = synthesize_echoes(matrix, truth)
+        w = (0.1, 0.05)
+        value, grad = hybrid_loss_batch(truth, pred, echoes, table1_op, *w)
+        diff = pred - truth
+        residual = echoes - pred @ matrix.T
+        dense_value = np.mean(
+            np.sum(diff**2, axis=1)
+            + w[0] * np.sum(np.abs(diff), axis=1)
+            + w[1] * np.sum(np.abs(residual) ** 2, axis=1)
+        )
+        dense_grad = (
+            2.0 * diff + w[0] * np.sign(diff) - 2.0 * w[1] * (residual @ matrix.conj()).real
+        ) / len(truth)
+        assert value == pytest.approx(dense_value, rel=1e-12)
+        assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        op = ImagingOperator(a)
         truth = rng.uniform(0, 1, (3, 8))
         pred = rng.uniform(0, 1, (3, 8))
         echoes = truth @ a.T
         w = (0.1, 0.05)
-        mean, grad = hybrid_loss_batch(truth, pred, echoes, a, *w)
-        singles = [loss_one(truth[i], pred[i], echoes[i], a, *w) for i in range(3)]
+        mean, grad = hybrid_loss_batch(truth, pred, echoes, op, *w)
+        singles = [loss_one(truth[i], pred[i], echoes[i], op, *w) for i in range(3)]
         assert mean == pytest.approx(np.mean([v for v, _ in singles]), abs=1e-12)
         for i in range(3):
             np.testing.assert_allclose(grad[i], singles[i][1] / 3.0, atol=1e-12)
@@ -260,7 +301,7 @@ class TestFit:
         echoes = data.train_echoes[:2]
         truth = data.train_maps[:2]
         out, cache = model.forward_cached(echoes, op)
-        _, dout = hybrid_loss_batch(truth, out, echoes, op.matrix, *w)
+        _, dout = hybrid_loss_batch(truth, out, echoes, op, *w)
         grads = model.backward(cache, dout)
 
         def loss(_):
