@@ -4,13 +4,15 @@ Subcommands: synth, fista, train, infer, eval, sweep-snr, sweep-freq,
 shapes. Exit codes: 0 success, 2 configuration error (including a missing
 checkpoint), 3 data/format error, 4 numerical divergence. Exit 3 also covers
 inputs made for another scene: an ``eval --echoes`` container whose sweep or
-array differs from the config or whose echo count differs from the test
-split, and a checkpoint trained on another scene. It covers corrupt inputs
-too: an echo container whose header values make no scene, and a checkpoint
-whose ``[config]`` section is not a valid config. An echo container or a
-checkpoint written before the shared array layout of :mod:`radarqi.io`
-exits 3 with "unsupported ... version"; ``radarqi synth`` or ``radarqi
-train`` writes a new one.
+array differs from the config, that was made with another seed, or whose
+echo count differs from the test split; an ``infer`` container of another
+array, frequency count or bandwidth (its start frequency may differ); and a
+checkpoint trained on another scene. It covers corrupt inputs too: an echo
+container whose header values make no scene, a checkpoint of an unknown
+kind, and a checkpoint whose ``[config]`` section is not a valid config. An
+echo container or a checkpoint written before the shared array layout of
+:mod:`radarqi.io` exits 3 with "unsupported ... version"; ``radarqi synth``
+or ``radarqi train`` writes a new one.
 
 ``eval``, ``sweep-snr``, ``sweep-freq`` and ``shapes`` score every method, so
 each needs all three network checkpoints.
@@ -87,9 +89,9 @@ def _setup(args) -> tuple[ExperimentConfig, Path]:
 
 
 def _load_container(cfg: ExperimentConfig, path):
-    """An echo container's echoes and the operator of the sweep and array
-    they were made with; the antenna spacing stays that of the configured
-    frequency. Header values that make no scene raise FormatError."""
+    """An echo container's echoes, the operator of the sweep and array they
+    were made with, and its header; the antenna spacing stays that of the
+    configured frequency. Header values that make no scene raise FormatError."""
     echoes, meta = rio.load_echoes(path)
     try:
         scene = dataclasses.replace(
@@ -98,7 +100,7 @@ def _load_container(cfg: ExperimentConfig, path):
             bandwidth_hz=meta["bandwidth_hz"],
             n_freqs=meta["n_freqs"],
         )
-        return echoes, build_operator(scene, f0_hz=meta["f0_hz"])
+        return echoes, build_operator(scene, f0_hz=meta["f0_hz"]), meta
     except (ConfigError, ValueError) as exc:
         raise FormatError(f"echo container {path} makes no scene: {exc}") from exc
 
@@ -141,7 +143,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fista(args) -> int:
     cfg, out = _setup(args)
-    echoes, op = _load_container(cfg, args.echoes)
+    echoes, op, _ = _load_container(cfg, args.echoes)
     solver_cfg = FistaConfig(
         lam=cfg.fista_lambda, max_iter=cfg.fista_max_iter, record_objective=args.record_objective
     )
@@ -171,7 +173,9 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg, out = _setup(args)
-    echoes, op = _load_container(cfg, args.echoes)
+    echoes, op, meta = _load_container(cfg, args.echoes)
+    del meta["f0_hz"]  # another start frequency is the frequency-migration test
+    check_scene(cfg, meta, f"echo container {args.echoes}")
     model = load_trained_model(cfg, op, None, args.checkpoint)
     maps = predict_maps(model, echoes, op)
     side = cfg.side_cells
@@ -188,6 +192,11 @@ def cmd_eval(args) -> int:
     if args.echoes:
         test_echoes, meta = rio.load_echoes(args.echoes)
         check_scene(cfg, meta, f"echo container {args.echoes}")
+        if meta["seed"] != cfg.seed:
+            raise FormatError(
+                f"echo container {args.echoes} was made with seed={meta['seed']}, "
+                f"current config has {cfg.seed}"
+            )
         if len(test_echoes) != len(bundle.test_maps):
             raise FormatError(
                 f"echo container has {len(test_echoes)} echoes but the test "

@@ -86,10 +86,6 @@ class ExperimentConfig:
     def n_cells(self) -> int:
         return self.side_cells * self.side_cells
 
-    @property
-    def n_measurements(self) -> int:
-        return self.n_freqs * self.n_antennas
-
     def to_text(self) -> str:
         lines = []
         for f in dataclasses.fields(self):

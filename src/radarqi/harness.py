@@ -38,10 +38,8 @@ from .fista import FistaConfig, ImagingOperator, fista_solve_many
 from .forward import build_sensing_matrix, noisy_echoes, synthesize_echoes
 from .geometry import build_doi_grid, build_sweep, build_ula, rasters_to_maps
 from .metrics import image_quality
-from .models import build_model, predict_maps
+from .models import NETWORK_KINDS, build_model, predict_maps
 from .training import TrainingData, fit, load_checkpoint, restore_model, save_checkpoint
-
-NETWORK_KINDS = ("fista_resnet", "lfista_resnet", "dnn")
 
 # Unsourced: PAPER.md holds only the abstract, and no run of this code
 # reproduces these numbers. They are printed for comparison, not checked.
@@ -100,7 +98,16 @@ def build_operator(cfg: ExperimentConfig, f0_hz: float | None = None) -> Imaging
 
 def check_scene(cfg: ExperimentConfig, saved: dict, source: str) -> None:
     """Raise FormatError if ``saved``, a checkpoint's config fields or an echo
-    container's header, records a scene field with another value than ``cfg``."""
+    container's header, records a scene field with another value than ``cfg``.
+
+    This is the one rule for whether an artifact belongs to the run's scene:
+    the fields of :data:`~radarqi.config.SCENE_FIELDS` fix the sensing
+    matrix, so a network's weights and an echo's samples mean the same only
+    where all of them agree. ``infer`` checks a container's header without
+    ``f0_hz``, the one field a container may change (``synth --f0-ghz``, the
+    frequency-migration test); it reads the echoes through the operator of
+    the container's own sweep.
+    """
     for field in SCENE_FIELDS:
         if field in saved and saved[field] != getattr(cfg, field):
             raise FormatError(
@@ -159,8 +166,14 @@ def train_pipeline(cfg: ExperimentConfig, out_dir, kinds=NETWORK_KINDS) -> dict[
 
 def load_trained_model(cfg: ExperimentConfig, op: ImagingOperator, kind: str | None, path):
     """Rebuild a network of the given kind (None: the kind the checkpoint was
-    saved as) and restore checkpoint weights; a missing checkpoint raises
-    :class:`ConfigError`, one trained on another scene :class:`FormatError`."""
+    saved as) and restore checkpoint weights.
+
+    Checks, in order: that ``path`` exists (else :class:`ConfigError`);
+    that it reads as a checkpoint of a known kind (:func:`load_checkpoint`);
+    that its config has ``cfg``'s scene (:func:`check_scene`); then the
+    kind, the parameter names and their shapes (:func:`restore_model`).
+    Each failure after the first raises :class:`FormatError`.
+    """
     path = Path(path)
     if not path.exists():
         method = f" for method {kind!r}" if kind else ""

@@ -68,8 +68,6 @@ class LFistaResNet:
         if side * side != op.n_cells:
             raise ValueError(f"side {side} does not square to {op.n_cells} cells")
         self.op = op
-        self.n_cells = op.n_cells
-        self.n_measurements = op.matrix.shape[0]
         self.n_blocks = cfg.n_blocks
         self.n_res_blocks = cfg.res_blocks
         self.side = side
@@ -235,8 +233,6 @@ class EchoDnn:
     def __init__(self, n_measurements: int, n_cells: int, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD44]))
         d_in = 2 * n_measurements
-        self.n_measurements = n_measurements
-        self.n_cells = n_cells
         self.params: dict[str, np.ndarray] = {
             "dense1_weight": he_normal(rng, (d_in, self.hidden), d_in),
             "dense1_bias": np.zeros(self.hidden),
@@ -285,6 +281,10 @@ def predict_maps(model, echoes: np.ndarray, op: ImagingOperator | None = None, c
     if bad.size:
         raise DivergedError(f"non-finite map from echo {bad[0]}")
     return maps
+
+
+# The kinds build_model constructs, in the order train and eval run them.
+NETWORK_KINDS = ("fista_resnet", "lfista_resnet", "dnn")
 
 
 def build_model(kind: str, op: ImagingOperator, cfg, seed: int):

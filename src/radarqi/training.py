@@ -39,7 +39,7 @@ from .errors import ConfigError, DivergedError, FormatError
 from .fista import ImagingOperator
 from .io import fmt_float, header_fields, read_container, write_container, write_csv
 from .metrics import image_quality
-from .models import predict_maps
+from .models import NETWORK_KINDS, predict_maps
 
 CHECKPOINT_MAGIC = "radarqi-checkpoint"
 CHECKPOINT_VERSION = 3
@@ -169,7 +169,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; every inconsistency, including a config that
-    :func:`~radarqi.config.config_from_text` rejects, raises FormatError."""
+    :func:`~radarqi.config.config_from_text` rejects or a kind outside
+    :data:`~radarqi.models.NETWORK_KINDS`, raises FormatError."""
     lines, params = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", "<f8")
     if "[config]" not in lines:
         raise FormatError(f"{path}: missing [config] section")
@@ -180,7 +181,7 @@ def load_checkpoint(path) -> Checkpoint:
     except ConfigError as exc:
         raise FormatError(f"{path}: bad checkpoint config ({exc})") from exc
     try:
-        return Checkpoint(
+        ckpt = Checkpoint(
             kind=meta["kind"],
             config=config,
             params=params,
@@ -189,28 +190,21 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad checkpoint metadata ({exc})") from exc
+    if ckpt.kind not in NETWORK_KINDS:
+        raise FormatError(f"{path}: unknown model kind {ckpt.kind!r}")
+    return ckpt
 
 
 def restore_model(model, ckpt: Checkpoint) -> None:
     """Copy checkpoint arrays into a freshly built model of the same kind.
 
-    Checks, in order, the model kind, the grid (``side_cells**2`` cells) and
-    the measurement count (``n_freqs * n_antennas``) saved with the
-    checkpoint's config, then that the checkpoint holds exactly the model's
-    parameter names, then every array's shape; the first disagreement raises
-    :class:`FormatError`. The grid and measurement checks matter because no
-    ``LFistaResNet`` parameter depends on either, so a checkpoint from
-    another geometry would otherwise load silently.
+    Checks, in order, the model kind, that the checkpoint holds exactly the
+    model's parameter names, then every array's shape; the first
+    disagreement raises :class:`FormatError`. Whether the checkpoint's scene
+    is the run's is :func:`~radarqi.harness.check_scene`'s question.
     """
     if model.kind != ckpt.kind:
         raise FormatError(f"checkpoint kind {ckpt.kind!r} does not match {model.kind!r}")
-    saved = ckpt.config
-    for what, theirs, ours in (
-        ("grid", saved.n_cells, model.n_cells),
-        ("measurement count", saved.n_measurements, model.n_measurements),
-    ):
-        if theirs != ours:
-            raise FormatError(f"{what} mismatch: checkpoint {theirs}, model {ours}")
     missing = [name for name in model.params if name not in ckpt.params]
     unknown = [name for name in ckpt.params if name not in model.params]
     if missing or unknown:

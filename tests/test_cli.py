@@ -361,6 +361,83 @@ def test_checkpoint_from_another_scene_exits_3(two_runs):
     assert "bandwidth_hz" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "changes, kind, field",
+    [
+        ({"n_freqs": 12}, "lfista_resnet", "n_freqs"),
+        ({"n_freqs": 15, "n_antennas": 2}, "dnn", "n_antennas"),
+        ({"bandwidth_hz": 4e9}, "lfista_resnet", "bandwidth_hz"),
+    ],
+    ids=["12x3", "15x2_same_length", "4ghz"],
+)
+def test_infer_on_a_container_of_another_scene_exits_3(two_runs, tmp_path, changes, kind, field):
+    """Only the start frequency of an infer container may differ from the
+    config; a 15 x 2 container has the 10 x 3 echo length, so only its
+    header tells it apart."""
+    workdir, config, (run1, _) = two_runs
+    echoes, meta = rio.load_echoes(run1 / "echoes_test.bin")
+    keys = ("f0_hz", "bandwidth_hz", "n_freqs", "n_antennas", "snr_db", "seed")
+    header = {**{k: meta[k] for k in keys}, **changes}
+    path = tmp_path / "other_scene.bin"
+    shape = (len(echoes), header["n_freqs"] * header["n_antennas"])
+    rio.save_echoes(path, np.resize(echoes, shape), **header)
+    out = tmp_path / "out"
+    proc = run_cli(
+        ["infer", "--config", str(config), "--out-dir", str(out), "--echoes", str(path),
+         "--checkpoint", str(run1 / f"checkpoint_{kind}.ckpt")],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"echo container {path} was made with {field}=" in proc.stderr
+    assert not list(out.glob("*.pgm"))
+
+
+def test_infer_reads_a_container_of_another_start_frequency(two_runs, tmp_path):
+    workdir, config, (run1, _) = two_runs
+    cli_ok(["synth", "--config", str(config), "--out-dir", str(tmp_path), "--f0-ghz", "32"], workdir)
+    out = tmp_path / "out"
+    cli_ok(
+        ["infer", "--config", str(config), "--out-dir", str(out),
+         "--echoes", str(tmp_path / "echoes_test.bin"),
+         "--checkpoint", str(run1 / "checkpoint_lfista_resnet.ckpt")],
+        workdir,
+    )
+    assert len(list(out.glob("infer_*.pgm"))) == config_from_text(SMALL_CONFIG).test_size
+
+
+def test_eval_container_of_another_seed_exits_3(two_runs, tmp_path):
+    # the test split depends on the seed, so its echoes score other maps
+    workdir, config, (run1, _) = two_runs
+    cli_ok(["synth", "--config", str(config), "--out-dir", str(tmp_path), "--seed", "1"], workdir)
+    out = tmp_path / "out"
+    proc = run_cli(
+        ["eval", "--config", str(config), "--out-dir", str(out), "--checkpoint-dir", str(run1),
+         "--echoes", str(tmp_path / "echoes_test.bin")],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "was made with seed=1, current config has 0" in proc.stderr
+    assert not list(out.glob("*"))
+
+
+def test_checkpoint_of_an_unknown_kind_exits_3(two_runs, tmp_path):
+    workdir, config, (run1, _) = two_runs
+    data = (run1 / "checkpoint_lfista_resnet.ckpt").read_bytes()
+    old = b"\nkind = lfista_resnet\n"
+    assert old in data
+    path = tmp_path / "unknown_kind.ckpt"
+    path.write_bytes(data.replace(old, b"\nkind = resnet9000\n", 1))
+    out = tmp_path / "out"
+    proc = run_cli(
+        ["infer", "--config", str(config), "--out-dir", str(out),
+         "--echoes", str(run1 / "echoes_test.bin"), "--checkpoint", str(path)],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"{path}: unknown model kind 'resnet9000'" in proc.stderr
+    assert not list(out.glob("*.pgm"))
+
+
 def test_record_objective_keeps_the_reconstructions(two_runs):
     workdir, config, (run1, _) = two_runs
     plain = workdir / "fista_plain"

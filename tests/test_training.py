@@ -373,15 +373,23 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="unsupported checkpoint version '1'"):
             load_checkpoint(path)
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Checkpoint("resnet9000", ExperimentConfig(), {"w": np.zeros(2)}, 0, 0.5))
+        with pytest.raises(FormatError, match="unknown model kind 'resnet9000'"):
+            load_checkpoint(path)
+
     def test_shape_mismatch_on_restore(self, tmp_path):
+        # no LFistaResNet parameter depends on the grid: check_scene rejects it
         _, _, ckpt = self._checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
         other_cfg = ExperimentConfig(
             side_cells=6, n_antennas=2, n_freqs=12, n_blocks=4, res_channels=3, res_blocks=1
         )
-        _, _, _, matrix = build_scene(other_cfg)
-        other = build_model("lfista_resnet", ImagingOperator(matrix), other_cfg, 0)
-        with pytest.raises(FormatError, match="mismatch|unknown"):
-            restore_model(other, ckpt)
+        other_op = build_operator(other_cfg)
+        with pytest.raises(FormatError, match="side_cells"):
+            load_trained_model(other_cfg, other_op, "lfista_resnet", path)
 
     def test_kind_mismatch_on_restore(self):
         _, op, ckpt = self._checkpoint()
@@ -389,8 +397,11 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="kind"):
             restore_model(dnn, ckpt)
 
-    def test_measurement_mismatch_on_restore(self):
+    def test_measurement_mismatch_on_restore(self, tmp_path):
+        # no LFistaResNet parameter depends on m: check_scene rejects it
         cfg, _, ckpt = self._checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
         other_cfg = ExperimentConfig(
             side_cells=cfg.side_cells,
             cell_size_m=cfg.cell_size_m,
@@ -400,10 +411,9 @@ class TestCheckpointIO:
             res_channels=cfg.res_channels,
             res_blocks=cfg.res_blocks,
         )
-        _, _, _, matrix = build_scene(other_cfg)
-        other = build_model("lfista_resnet", ImagingOperator(matrix), other_cfg, 0)
-        with pytest.raises(FormatError, match="measurement count mismatch"):
-            restore_model(other, ckpt)
+        other_op = build_operator(other_cfg)
+        with pytest.raises(FormatError, match="n_freqs"):
+            load_trained_model(other_cfg, other_op, "lfista_resnet", path)
 
     def test_missing_parameter_on_restore(self):
         cfg, op, ckpt = self._checkpoint()
