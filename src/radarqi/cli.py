@@ -4,10 +4,11 @@ Subcommands: synth, fista, train, infer, eval, sweep-snr, sweep-freq,
 shapes. Exit codes: 0 success, 2 configuration error (including a missing
 checkpoint), 3 data/format error, 4 numerical divergence. Exit 3 also covers
 inputs made for another scene: an ``eval --echoes`` container whose sweep or
-array differs from the config, that was made with another seed, or whose
-echo count differs from the test split; an ``infer`` container of another
-array, frequency count or bandwidth (its start frequency may differ); and a
-checkpoint trained on another scene. It covers corrupt inputs too: an echo
+array differs from the config, that was made with another seed, whose echo
+count differs from the test split, or whose header names another split (a
+container that names none is taken as the test split); an ``infer``
+container of another array, frequency count or bandwidth (its start
+frequency may differ); and a checkpoint trained on another scene. It covers corrupt inputs too: an echo
 container whose header values make no scene, a checkpoint of an unknown
 kind, and a checkpoint whose ``[config]`` section is not a valid config. An
 echo container or a checkpoint written before the shared array layout of
@@ -136,6 +137,7 @@ def cmd_synth(args) -> int:
         n_antennas=cfg.n_antennas,
         snr_db=args.snr_db,
         seed=cfg.seed,
+        split=args.split,
     )
     print(f"wrote {len(echoes)} echoes to {path}")
     return 0
@@ -201,6 +203,10 @@ def cmd_eval(args) -> int:
             raise FormatError(
                 f"echo container has {len(test_echoes)} echoes but the test "
                 f"split has {len(bundle.test_maps)}"
+            )
+        if meta.get("split", "test") != "test":
+            raise FormatError(
+                f"echo container {args.echoes} holds the {meta['split']} split, not the test split"
             )
     models = _load_models(cfg, op, args)
     reports = compare_methods(cfg, op, models, bundle.test_maps, test_echoes, out)

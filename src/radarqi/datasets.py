@@ -123,20 +123,19 @@ def synthetic_digit_rasters(count: int, seed: int) -> np.ndarray:
     blurred, and amplitude-scaled. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD161]))
-    out = np.zeros((count, 28, 28), dtype=np.uint8)
-    for i in range(count):
-        big = _glyph_array(_DIGIT_GLYPHS[int(rng.integers(0, 10))])
-        canvas = np.zeros((28, 28))
+    glyphs = [_glyph_array(_DIGIT_GLYPHS[digit]) for digit in range(10)]
+    canvases = np.zeros((count, 28, 28))
+    for canvas in canvases:
+        big = glyphs[int(rng.integers(0, 10))]
         r0 = int(rng.integers(2, 6))
         c0 = int(rng.integers(2, 12))
         canvas[r0 : r0 + 21, c0 : c0 + 15] = big
-        canvas = ndimage.gaussian_filter(canvas, sigma=float(rng.uniform(0.5, 0.9)))
+        canvas[...] = ndimage.gaussian_filter(canvas, sigma=float(rng.uniform(0.5, 0.9)))
         peak = canvas.max()
         if peak > 0:
             canvas *= float(rng.uniform(0.75, 1.0)) / peak
         canvas[canvas < 0.06] = 0.0  # hard-zero background, like real scans
-        out[i] = to_gray_bytes(canvas)
-    return out
+    return to_gray_bytes(canvases)
 
 
 def load_digit_rasters(mnist_dir, minimum: int, seed: int) -> np.ndarray:

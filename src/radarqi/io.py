@@ -15,9 +15,9 @@ it: every byte offset and size is computed there, and every framing or
 manifest fault raises :class:`~radarqi.errors.FormatError`.
 :func:`header_fields` reads ``key = value`` header lines and rejects a key
 listed twice. Echo containers (version 2, here) hold their synthesis
-metadata and one ``echoes`` array of ``<c16``; checkpoints (version 3,
-:mod:`radarqi.training`) hold their metadata and config, and ``<f8``
-parameters in model order.
+metadata (with the split they come from, when they come from one) and one
+``echoes`` array of ``<c16``; checkpoints (version 3, :mod:`radarqi.training`)
+hold their metadata and config, and ``<f8`` parameters in model order.
 
 Everything written here is byte-deterministic given identical inputs:
 floats are serialized with round-tripping ``repr``, arrays as little-endian
@@ -147,8 +147,12 @@ def save_echoes(
     n_antennas: int,
     snr_db: float | None,
     seed: int,
+    *,
+    split: str | None = None,
 ) -> None:
-    """Write (count, length) complex echoes with their synthesis metadata."""
+    """Write (count, length) complex echoes with their synthesis metadata;
+    ``split`` names the dataset split the echoes were made from, and a
+    container of echoes from no split records none."""
     header = [
         f"f0_hz = {fmt_float(f0_hz)}",
         f"bandwidth_hz = {fmt_float(bandwidth_hz)}",
@@ -157,13 +161,16 @@ def save_echoes(
         f"snr_db = {'none' if snr_db is None else fmt_float(snr_db)}",
         f"seed = {seed}",
     ]
+    if split is not None:
+        header.append(f"split = {split}")
     arrays = {"echoes": np.atleast_2d(np.asarray(echoes, dtype=np.complex128))}
     write_container(path, ECHO_MAGIC, ECHO_VERSION, header, arrays, "<c16")
 
 
 def load_echoes(path) -> tuple[np.ndarray, dict]:
     """Read an echo container; returns (echoes, header-metadata dict), the
-    dict with ``count`` and ``length`` from the echoes' shape."""
+    dict with ``count`` and ``length`` from the echoes' shape. ``split`` is
+    a string when the header records one and absent when it does not."""
     lines, arrays = read_container(path, ECHO_MAGIC, ECHO_VERSION, "echo container", "<c16")
     shapes = {name: arr.shape for name, arr in arrays.items()}
     if list(shapes) != ["echoes"] or len(shapes["echoes"]) != 2:
@@ -196,9 +203,12 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
 
 
 def to_gray_bytes(img: np.ndarray) -> np.ndarray:
-    """Clamp [0, 1] floats to uint8 with round-half-up."""
-    img = np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0)
-    return np.floor(img * 255.0 + 0.5).astype(np.uint8)
+    """Clamp [0, 1] floats to uint8 with round-half-up, through one float
+    copy of ``img``."""
+    scaled = np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0)
+    scaled *= 255.0
+    scaled += 0.5
+    return np.floor(scaled, out=scaled).astype(np.uint8)
 
 
 def write_pgm(path, img: np.ndarray) -> None:

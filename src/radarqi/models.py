@@ -10,10 +10,11 @@ to their physics-derived values (step 1/lmax, threshold lam/lmax,
 recomputed from whatever operator the forward pass is given), which is the
 non-learned ablation of the same architecture: that network holds no block
 parameters, only the head's. Neither pass forms the P x P ``Re(A^H A)``:
-the blocks take their gradient from ``fista_iterates``' range residual on
-the operator's low-rank factor, and the backward pass through them applies
+the blocks take their step from ``fista_iterates``' range residual on the
+operator's low-rank factor, and the backward pass through them applies
 ``Re(A^H A)`` through ``ImagingOperator.normal``, two thin products with
-that factor.
+that factor. A block's step gradient comes from the step-scaled residual it
+keeps: the step taken, divided by the block's (positive) step size.
 
 All gradients are exact reverse-mode, written out by hand; parameters live
 in a name-to-array dict so the optimizer and checkpoints stay model-agnostic.
@@ -110,8 +111,9 @@ class LFistaResNet:
     # ------------------------------------------------------------------
 
     def _unrolled(self, echoes: np.ndarray, op: ImagingOperator, collect: bool):
-        """The coarse (n, P) maps and, if ``collect``, each block's residual
-        and active mask for the backward pass."""
+        """The coarse (n, P) maps and, if ``collect``, each block's step
+        taken (its step size times the gradient at y) and active mask for
+        the backward pass."""
         blocks = [] if collect else None
         for x, _, r in fista_iterates(op, echoes, *self.block_scalars(op), nonneg_shrink):
             if collect:
@@ -209,7 +211,8 @@ class LFistaResNet:
             r, mask = cache["blocks"][i]
             dz = d_cur * mask
             d_theta[i] = -dz.sum()
-            d_mu[i] = -np.sum(dz * r)
+            # r is mu[i] times the gradient, and mu = softplus(raw) > 0
+            d_mu[i] = -np.sum(dz * r) / mu[i]
             dy = dz - mu[i] * op.normal(dz)
             g = self.momentum[i]
             d_cur = d_prev + (1.0 + g) * dy

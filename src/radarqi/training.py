@@ -13,9 +13,11 @@ physics consistency of the prediction with the measured echo:
     L = ||e - p||_2^2 + lambda1 * ||e - p||_1 + lambda2 * ||C p - z||_2^2
 
 where ``C = op.factor`` and ``z = op.coords(s)`` are the operator's real
-factor and the echo's range coordinates (see :mod:`radarqi.fista`). The
-physics term is ``||s - A p||_2^2`` less ``||s||^2 - ||z||^2``, a constant
-per echo that does not depend on the prediction.
+factor and the echo's real range coordinates (see :mod:`radarqi.fista`).
+The physics term is ``||s - A p||_2^2`` less ``||s||^2 - ||z||^2``, a
+constant per echo that does not depend on the prediction: the part of the
+echo that no real map produces, outside the operator's range or on the
+part of it that only complex maps reach.
 
 The loss weights, the learning rate and the plateau schedule's factor and
 patience come from the run's :class:`~radarqi.config.ExperimentConfig`,
@@ -52,8 +54,9 @@ def hybrid_loss_batch(eps_true, eps_hat, echoes, op: ImagingOperator, lambda1: f
     0. The physics term is lambda2 * ||r||^2 on the range residual
     r = C p - z, with gradient 2 * lambda2 * r C. It drops the per-echo
     constant ||s||^2 - ||z||^2 of the full ||s - A p||^2: about 0 for a
-    noise-free echo, and the noise energy outside the operator's range for
-    a noisy one.
+    noise-free echo, and for a noisy one the noise energy that no real map
+    produces, outside the operator's range or on the part of it that only
+    complex maps reach.
     """
     diff = eps_hat - eps_true
     residual = eps_hat @ op.factor.T - op.coords(echoes)

@@ -420,6 +420,21 @@ def test_eval_container_of_another_seed_exits_3(two_runs, tmp_path):
     assert not list(out.glob("*"))
 
 
+def test_eval_container_of_the_validation_split_exits_3(two_runs, tmp_path):
+    # val and test hold 8 echoes each, so only the recorded split tells them apart
+    workdir, config, (run1, _) = two_runs
+    cli_ok(["synth", "--config", str(config), "--out-dir", str(tmp_path), "--split", "val"], workdir)
+    out = tmp_path / "out"
+    proc = run_cli(
+        ["eval", "--config", str(config), "--out-dir", str(out), "--checkpoint-dir", str(run1),
+         "--echoes", str(tmp_path / "echoes_val.bin")],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "holds the val split, not the test split" in proc.stderr
+    assert not list(out.glob("*"))
+
+
 def test_checkpoint_of_an_unknown_kind_exits_3(two_runs, tmp_path):
     workdir, config, (run1, _) = two_runs
     data = (run1 / "checkpoint_lfista_resnet.ckpt").read_bytes()

@@ -2,15 +2,19 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from radarqi.datasets import (
+    _DIGIT_GLYPHS,
     IDX_IMAGE_MAGIC,
+    _glyph_array,
     read_idx_images,
     shape_rasters,
     split_dataset,
     synthetic_digit_rasters,
 )
 from radarqi.errors import FormatError
+from radarqi.io import to_gray_bytes
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -119,6 +123,32 @@ class TestSyntheticDigits:
         for r in rasters:
             assert r.max() >= 150  # a clearly visible stroke
             assert np.count_nonzero(r) < 0.5 * r.size  # spatially sparse
+
+
+def per_digit_rasters(count: int, seed: int) -> np.ndarray:
+    """The corpus built one raster at a time, each glyph array rebuilt per
+    digit and each canvas converted on its own: the reference for
+    synthetic_digit_rasters."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD161]))
+    out = np.zeros((count, 28, 28), dtype=np.uint8)
+    for i in range(count):
+        big = _glyph_array(_DIGIT_GLYPHS[int(rng.integers(0, 10))])
+        canvas = np.zeros((28, 28))
+        r0 = int(rng.integers(2, 6))
+        c0 = int(rng.integers(2, 12))
+        canvas[r0 : r0 + 21, c0 : c0 + 15] = big
+        canvas = ndimage.gaussian_filter(canvas, sigma=float(rng.uniform(0.5, 0.9)))
+        peak = canvas.max()
+        if peak > 0:
+            canvas *= float(rng.uniform(0.75, 1.0)) / peak
+        canvas[canvas < 0.06] = 0.0
+        out[i] = to_gray_bytes(canvas)
+    return out
+
+
+@pytest.mark.parametrize("count, seed", [(0, 0), (1, 1), (350, 7), (350, 1501)])
+def test_synthetic_digits_match_the_per_digit_loop(count, seed):
+    np.testing.assert_array_equal(synthetic_digit_rasters(count, seed), per_digit_rasters(count, seed))
 
 
 class TestShapeRasters:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,17 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -0.1)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_equals_the_sign_times_shrunk_magnitude(self, theta):
+        rng = np.random.default_rng(17)
+        special = [theta, -theta, 0.0, -0.0, np.inf, -np.inf, np.nan, 0.5 * theta]
+        x = rng.permutation(np.concatenate([special, rng.normal(size=232)])).reshape(6, 40)
+        want = np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
+        np.testing.assert_array_equal(soft_threshold(x, theta), want)
+        out = np.full_like(x, 7.0)
+        assert soft_threshold(x, theta, out=out) is out
+        np.testing.assert_array_equal(out, want)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(0)
@@ -121,9 +134,13 @@ class TestEnergy:
         s = rng.normal(size=6) + 1j * rng.normal(size=6)
         eps = rng.normal(size=9)
         lam = 0.3
+        op = ImagingOperator(a)
         residual = s - a @ eps
-        expected = 0.5 * np.sum(np.abs(residual) ** 2) + lam * np.sum(np.abs(eps))
-        assert energy(ImagingOperator(a), s, eps, lam) == pytest.approx(expected, abs=1e-12)
+        dense = 0.5 * np.sum(np.abs(residual) ** 2) + lam * np.sum(np.abs(eps))
+        # s has 12 real coordinates in the range of A; real maps reach 9
+        dropped = 0.5 * (np.sum(np.abs(s) ** 2) - np.sum(op.coords(s) ** 2))
+        assert dropped > 0
+        assert energy(op, s, eps, lam) == pytest.approx(dense - dropped, abs=1e-12)
 
     def test_batch_rows_match_single_echo(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
@@ -297,6 +314,27 @@ class TestFistaSolve:
         got = fista_solve(matrix, echoes, FistaConfig(lam=lam, max_iter=n_iter), table1_op)
         assert np.max(np.abs(got.estimate - x)) <= 1e-8
 
+    def test_iterations_allocate_no_rows(self, table1_scene, table1_op):
+        # At the peak the solve holds four iteration buffers, the zero start
+        # estimate and a boolean finiteness mask, each at most one (n, P)
+        # array, and its small range coordinates. One more (n, P) temporary
+        # per iteration would pass six arrays; a kept one would make 2,000
+        # iterations peak higher than 20 by more than the O(iterations)
+        # step, threshold and momentum vectors.
+        cfg, _, _, _, matrix = table1_scene
+        echoes = synthesize_echoes(matrix, rasters_to_maps(synthetic_digit_rasters(100, 0), cfg.side_cells))
+        rows = echoes.shape[0] * matrix.shape[1] * 8
+        peaks = {}
+        for n_iter in (20, 2000):
+            tracemalloc.start()
+            try:
+                fista_solve_many(matrix, echoes, FistaConfig(lam=0.001, max_iter=n_iter), table1_op)
+                peaks[n_iter] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20] < 6 * rows
+        assert peaks[2000] <= peaks[20] + 3 * 8 * 2000
+
     @pytest.mark.parametrize(
         "lam, max_iter", [(float("nan"), 10), (float("inf"), 10), (-0.1, 10), (0.01, 0)]
     )
@@ -365,6 +403,20 @@ class TestImagingOperator:
         assert factor.shape[0] < factor.shape[1] == matrix.shape[1]
         assert factor.shape[0] <= 2 * matrix.shape[0]
 
+    @pytest.mark.parametrize("f0_ghz", F0_GRID_GHZ)
+    def test_factor_keeps_orthogonal_rows_that_real_maps_reach(self, f0_ghz):
+        # of the 2k rows of [Re U_k^H A; Im U_k^H A], only those on C C^T
+        # eigenvalues above eps times the largest one stay
+        matrix = build_scene(ExperimentConfig(f0_hz=f0_ghz * 1e9))[3]
+        w = np.linalg.eigvalsh(matrix @ matrix.conj().T)
+        k = int(np.sum(w > np.finfo(np.float64).eps * w[-1]))
+        factor = ImagingOperator(matrix).factor
+        rows = factor @ factor.T
+        off = rows - np.diag(np.diag(rows))
+        assert np.max(np.abs(off)) <= 1e-13 * np.max(np.abs(rows))
+        assert len(factor) < 2 * k
+        assert len(factor) <= factor.shape[1]
+
     def test_holds_no_array_of_the_grid_squared(self, table1_op):
         sizes = [v.size for v in vars(table1_op).values() if isinstance(v, np.ndarray)]
         assert sizes and max(sizes) < table1_op.n_cells**2
@@ -380,9 +432,9 @@ class TestImagingOperator:
         y = np.random.default_rng(14).normal(size=(3, matrix.shape[1]))
         dense = y @ (matrix.conj().T @ matrix).real
         assert np.max(np.abs(op.normal(y) - dense)) <= 1e-12 * np.max(np.abs(dense))
-        if name == "submatrix":
-            # 200 echoes of 20 cells: the factor keeps more rows than cells
-            assert op.factor.shape[0] > matrix.shape[1]
+        # real maps of P cells reach at most P range coordinates, so the
+        # factor of 200 echoes of 20 cells keeps at most 20 rows
+        assert op.factor.shape[0] <= matrix.shape[1]
 
     def test_column_norm_lower_bound(self, table1_scene, table1_op):
         # columns of A have norm sqrt(m) so lmax >= m

@@ -8,7 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from radarqi.config import ExperimentConfig
 from radarqi.errors import FormatError
-from radarqi.io import ECHO_MAGIC, ECHO_VERSION, curve_raster, load_echoes, save_echoes
+from radarqi.io import (
+    ECHO_MAGIC,
+    ECHO_VERSION,
+    curve_raster,
+    load_echoes,
+    save_echoes,
+    to_gray_bytes,
+)
 from radarqi.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -34,6 +41,13 @@ class TestEchoContainer:
         np.testing.assert_array_equal(loaded, echoes)
         assert (meta["count"], meta["length"], meta["n_freqs"], meta["n_antennas"]) == (4, 6, 3, 2)
         assert meta["f0_hz"] == 30e9 and meta["snr_db"] is None and meta["seed"] == 3
+        assert "split" not in meta
+
+    def test_split_round_trips(self, tmp_path):
+        path = tmp_path / "echoes.bin"
+        echoes = np.ones((2, 6), dtype=np.complex128)
+        save_echoes(path, echoes, 30e9, 5e9, 3, 2, None, 3, split="val")
+        assert load_echoes(path)[1]["split"] == "val"
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "echoes.bin"
@@ -227,3 +241,13 @@ def test_round_trip_keeps_every_bit(tmp_path_factory, container):
 def test_curve_with_a_non_finite_point_rejected(xs, ys):
     with pytest.raises(ValueError, match="finite"):
         curve_raster(xs, ys)
+
+
+def test_gray_bytes_round_half_up_and_leave_the_input_alone():
+    rng = np.random.default_rng(8)
+    img = rng.uniform(-0.2, 1.2, size=(3, 28, 28))
+    img.flat[:4] = (0.5 / 255.0, 1.5 / 255.0, 1.0, 0.0)
+    before = img.copy()
+    want = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    np.testing.assert_array_equal(to_gray_bytes(img), want)
+    np.testing.assert_array_equal(img, before)
