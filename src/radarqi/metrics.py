@@ -52,16 +52,13 @@ def ssim(a: np.ndarray, b: np.ndarray):
     """
     a, b = _pair(a, b)
     taps = _gaussian_taps()
-
-    def filt(img):
-        rows = ndimage.correlate1d(img, taps, axis=-1, mode="reflect")
-        return ndimage.correlate1d(rows, taps, axis=-2, mode="reflect")
-
-    mu_a = filt(a)
-    mu_b = filt(b)
-    var_a = filt(a * a) - mu_a**2
-    var_b = filt(b * b) - mu_b**2
-    cov = filt(a * b) - mu_a * mu_b
+    # One 1-D pass per axis filters all five local moments at once.
+    moments = np.stack([a, b, a * a, b * b, a * b])
+    rows = ndimage.correlate1d(moments, taps, axis=-1, mode="reflect")
+    mu_a, mu_b, e_aa, e_bb, e_ab = ndimage.correlate1d(rows, taps, axis=-2, mode="reflect")
+    var_a = e_aa - mu_a**2
+    var_b = e_bb - mu_b**2
+    cov = e_ab - mu_a * mu_b
 
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2

@@ -16,6 +16,18 @@ operator's low-rank factor, and the backward pass through them applies
 that factor. A block's step gradient comes from the step-scaled residual it
 keeps: the step taken, divided by the block's (positive) step size.
 
+The head runs on bordered images, as :mod:`~radarqi.nn_ops` describes:
+``_head`` borders the coarse maps once into (n, side+2, side+2, 1) images
+with a zero outer ring and crops the tail's output once, and ``backward``
+borders the output gradient once and crops the head's input gradient once.
+In between, every conv, ReLU, mask and residual sum keeps the channel-major
+layout and the ring at 0, and each ReLU and residual sum runs in place on
+the conv output it consumes, so no activation is padded or copied. The
+head's output does not depend on how the conv slices a batch, bit for bit;
+it agrees with a channels-last im2col head only to rounding, and a single
+echo's output with its row of a batch to rounding (the tests bound it by
+1e-12 of the output's scale).
+
 All gradients are exact reverse-mode, written out by hand; parameters live
 in a name-to-array dict so the optimizer and checkpoints stay model-agnostic.
 """
@@ -36,6 +48,15 @@ from .nn_ops import (
     softplus,
     softplus_inv,
 )
+
+
+def bordered(maps: np.ndarray, side: int) -> np.ndarray:
+    """(n, side**2) maps as the (n, side+2, side+2, 1) images the convs take:
+    zero ring, channel-major."""
+    n = maps.shape[0]
+    planes = np.zeros((1, n, side + 2, side + 2), dtype=maps.dtype)
+    planes[0, :, 1:-1, 1:-1] = maps.reshape(n, side, side)
+    return planes.transpose(1, 2, 3, 0)
 
 
 def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -127,24 +148,26 @@ class LFistaResNet:
         return coarse
 
     def _head(self, coarse: np.ndarray, collect: bool):
+        """The head's (n, P) output. Every ReLU and residual sum runs in place
+        on the conv output it consumes; the backward needs only their masks."""
         p = self.params
         n = coarse.shape[0]
-        img = coarse.reshape(n, self.side, self.side, 1)
-        z0, c_head = conv2d_3x3_cached(img, p["head_kernel"], p["head_bias"])
-        h = relu(z0)
+        z0, c_head = conv2d_3x3_cached(bordered(coarse, self.side), p["head_kernel"], p["head_bias"])
         caches = {"head": (c_head, z0 > 0)} if collect else None
+        h = relu(z0, out=z0)
         for rb in range(1, self.n_res_blocks + 1):
             z1, c1 = conv2d_3x3_cached(h, p[f"res{rb}_conv1_kernel"], p[f"res{rb}_conv1_bias"])
-            a1 = relu(z1)
-            z2, c2 = conv2d_3x3_cached(a1, p[f"res{rb}_conv2_kernel"], p[f"res{rb}_conv2_bias"])
-            s = z2 + h
+            m1 = z1 > 0 if collect else None
+            a1 = relu(z1, out=z1)
+            s, c2 = conv2d_3x3_cached(a1, p[f"res{rb}_conv2_kernel"], p[f"res{rb}_conv2_bias"])
+            s += h
             if collect:
-                caches[f"res{rb}"] = (c1, z1 > 0, c2, s > 0)
-            h = relu(s)
+                caches[f"res{rb}"] = (c1, m1, c2, s > 0)
+            h = relu(s, out=s)
         out, c_tail = conv2d_3x3_cached(h, p["tail_kernel"], p["tail_bias"])
         if collect:
             caches["tail"] = c_tail
-        return out.reshape(n, self.side * self.side), caches
+        return out[:, 1:-1, 1:-1, 0].reshape(n, self.side * self.side), caches
 
     def forward(self, echoes: np.ndarray, op: ImagingOperator | None = None) -> np.ndarray:
         """Full reconstruction, echoes (n, m) or (m,) -> maps (n, P) or (P,)."""
@@ -178,28 +201,30 @@ class LFistaResNet:
         caches = cache["head"]
         n = dout.shape[0]
 
-        d = dout.reshape(n, self.side, self.side, 1)
+        d = bordered(dout, self.side)
         d, grads["tail_kernel"], grads["tail_bias"] = conv2d_3x3_backward(
             caches["tail"], d
         )
         for rb in range(self.n_res_blocks, 0, -1):
             c1, m1, c2, m_sum = caches[f"res{rb}"]
-            d_sum = d * m_sum
-            da1, grads[f"res{rb}_conv2_kernel"], grads[f"res{rb}_conv2_bias"] = (
-                conv2d_3x3_backward(c2, d_sum)
+            d *= m_sum
+            dz1, grads[f"res{rb}_conv2_kernel"], grads[f"res{rb}_conv2_bias"] = (
+                conv2d_3x3_backward(c2, d)
             )
-            dz1 = da1 * m1
+            dz1 *= m1
             d_in, grads[f"res{rb}_conv1_kernel"], grads[f"res{rb}_conv1_bias"] = (
                 conv2d_3x3_backward(c1, dz1)
             )
-            d = d_in + d_sum  # conv path + skip path
+            d_in += d  # conv path + skip path
+            d = d_in
         c_head, m0 = caches["head"]
+        d *= m0
         d_img, grads["head_kernel"], grads["head_bias"] = conv2d_3x3_backward(
-            c_head, d * m0, input_grad=not self.frozen_blocks
+            c_head, d, input_grad=not self.frozen_blocks
         )
         if self.frozen_blocks:
             return grads
-        d_coarse = d_img.reshape(n, self.side * self.side)
+        d_coarse = d_img[:, 1:-1, 1:-1, 0].reshape(n, self.side * self.side)
 
         op = cache["op"]
         mu, _ = self.block_scalars(op)

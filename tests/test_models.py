@@ -9,9 +9,9 @@ from radarqi.config import ExperimentConfig
 from radarqi.fista import ImagingOperator, fista_iterates, nonneg_shrink
 from radarqi.forward import synthesize_echoes
 from radarqi.models import EchoDnn, LFistaResNet, build_model, predict_maps
-from radarqi.nn_ops import conv2d_3x3_backward, softplus_inv
+from radarqi.nn_ops import conv2d_3x3_backward, conv2d_3x3_cached, softplus_inv
 
-from test_nn_ops import naive_conv
+from test_nn_ops import naive_conv, ring_is_zero
 
 
 def small_op(seed=0, m=10, p=16):
@@ -190,10 +190,11 @@ class TestModelForward:
         rng = np.random.default_rng(13)
         maps = rng.uniform(0, 1, (4, len(grid))) * (rng.uniform(size=(4, len(grid))) < 0.1)
         echoes = synthesize_echoes(matrix, maps)
-        model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
-        batched = model.forward(echoes)
-        for echo, row in zip(echoes, batched):
-            assert np.max(np.abs(model.forward(echo) - row)) <= 1e-12 * np.max(np.abs(row))
+        for frozen in (False, True):
+            model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
+            batched = model.forward(echoes)
+            for echo, row in zip(echoes, batched):
+                assert np.max(np.abs(model.forward(echo) - row)) <= 1e-12 * np.max(np.abs(row))
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_forward_equals_the_cached_forward(self, table1_scene, table1_op, frozen):
@@ -212,6 +213,54 @@ class TestModelForward:
         np.testing.assert_allclose(
             predict_maps(model, echoes, chunk=3), model.forward(echoes), atol=1e-12
         )
+
+
+class TestBorderedHead:
+    """The head runs on (n, 30, 30, c) images whose outer ring stays 0."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_every_head_activation_keeps_a_zero_ring(self, monkeypatch, table1_op, frozen):
+        model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
+        rng = np.random.default_rng(19)
+        echoes = rng.normal(size=(3, 200)) + 1j * rng.normal(size=(3, 200))
+        outputs, upstream = [], []
+
+        def forward_recording(x, kernel, bias):
+            out, cache = conv2d_3x3_cached(x, kernel, bias)
+            outputs.append(ring_is_zero(out))
+            return out, cache
+
+        def backward_recording(cache, dout, input_grad=True):
+            upstream.append(ring_is_zero(dout))
+            dx, dk, db = conv2d_3x3_backward(cache, dout, input_grad)
+            upstream.append(dx is None or ring_is_zero(dx))
+            return dx, dk, db
+
+        monkeypatch.setattr(models, "conv2d_3x3_cached", forward_recording)
+        monkeypatch.setattr(models, "conv2d_3x3_backward", backward_recording)
+        _, cache = model.forward_cached(echoes)
+        model.backward(cache, rng.normal(size=(3, 784)))
+        assert outputs == [True] * 6 and upstream == [True] * 12
+        head = cache["head"]
+        inputs = [head["head"][0][0], head["tail"][0]]
+        masks = [head["head"][1]]
+        for rb in (1, 2):
+            c1, m1, c2, m_sum = head[f"res{rb}"]
+            inputs += [c1[0], c2[0]]
+            masks += [m1, m_sum]
+        for arr in inputs + masks:
+            assert arr.shape[1:3] == (30, 30) and ring_is_zero(arr)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_float32_stays_float32_through_the_convs(self, table1_op, frozen):
+        model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
+        model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        coarse = np.random.default_rng(20).uniform(0, 1, (2, 784)).astype(np.float32)
+        out, caches = model._head(coarse, collect=True)
+        assert out.dtype == np.float32
+        conv_inputs = [caches["head"][0][0], caches["tail"][0]]
+        conv_inputs += [c[0] for rb in (1, 2) for c in caches[f"res{rb}"][::2]]
+        assert [x.dtype for x in conv_inputs] == [np.float32] * 6
 
 
 class TestEchoDnn:
