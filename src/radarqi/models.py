@@ -16,17 +16,31 @@ operator's low-rank factor, and the backward pass through them applies
 that factor. A block's step gradient comes from the step-scaled residual it
 keeps: the step taken, divided by the block's (positive) step size.
 
-The head runs on bordered images, as :mod:`~radarqi.nn_ops` describes:
-``_head`` borders the coarse maps once into (n, side+2, side+2, 1) images
-with a zero outer ring and crops the tail's output once, and ``backward``
-borders the output gradient once and crops the head's input gradient once.
-In between, every conv, ReLU, mask and residual sum keeps the channel-major
-layout and the ring at 0, and each ReLU and residual sum runs in place on
-the conv output it consumes, so no activation is padded or copied. The
-head's output does not depend on how the conv slices a batch, bit for bit;
-it agrees with a channels-last im2col head only to rounding, and a single
-echo's output with its row of a batch to rounding (the tests bound it by
-1e-12 of the output's scale).
+The head runs depth-first over tiles of a few images: ``_head`` takes each
+tile through every layer before the next tile starts, so a tile's
+activations stay in cache, and the blocks one tile frees are the sizes the
+next one asks for, which malloc hands back instead of new pages. A tile
+holds as many images as keep one activation of the head's widest layer
+within ``HEAD_TILE_BYTES`` (7 images of 14 channels at 28x28 in float64),
+and this is the one bound on the head's workspace.
+``forward_cached`` keeps one cache per tile in ``cache["head"]``;
+``backward`` runs each tile back in turn, sums the kernel and bias
+gradients over the tiles and joins the tiles' input gradients.
+
+Within a tile the head runs on bordered images, as :mod:`~radarqi.nn_ops`
+describes: the coarse maps are bordered once into (n, side+2, side+2, 1)
+images with a zero outer ring and the tail's output is cropped once, and
+the backward borders the output gradient once and crops the head's input
+gradient once. In between, every conv, ReLU, mask and residual sum keeps
+the channel-major layout and the ring at 0, and each ReLU and residual sum
+runs in place on the conv output it consumes, so no activation is padded or
+copied. An image's head output is the same bit for bit whichever tile it
+falls in (a batch-1 tile included), where the BLAS computes a product's
+column alike wherever it falls (see :mod:`~radarqi.nn_ops`); the kernel
+gradients sum over tiles, so they equal the sum of per-image gradients to
+rounding. A single echo's full output agrees with its row of a batch only to
+rounding (the tests bound it by 1e-12 of the output's scale): the unrolled
+blocks run a single echo as matrix-vector products.
 
 All gradients are exact reverse-mode, written out by hand; parameters live
 in a name-to-array dict so the optimizer and checkpoints stay model-agnostic.
@@ -48,6 +62,10 @@ from .nn_ops import (
     softplus,
     softplus_inv,
 )
+
+# Bytes of one activation of the head's widest layer in a tile of images: 7
+# images of 14 channels at 28x28 in float64. See the module docstring.
+HEAD_TILE_BYTES = 3 << 18
 
 
 def bordered(maps: np.ndarray, side: int) -> np.ndarray:
@@ -147,9 +165,29 @@ class LFistaResNet:
         coarse, _ = self._unrolled(echoes, op or self.op, collect=False)
         return coarse
 
+    def tile_images(self, dtype) -> int:
+        """Images per head tile: as many as keep one activation of the widest
+        layer within ``HEAD_TILE_BYTES``, and at least one."""
+        width = self.params["head_kernel"].shape[3]
+        image = width * (self.side + 2) ** 2 * np.dtype(dtype).itemsize
+        return max(1, HEAD_TILE_BYTES // image)
+
     def _head(self, coarse: np.ndarray, collect: bool):
-        """The head's (n, P) output. Every ReLU and residual sum runs in place
-        on the conv output it consumes; the backward needs only their masks."""
+        """The head's (n, P) output, run depth-first over tiles of images,
+        and if ``collect`` one cache per tile."""
+        tile = self.tile_images(np.result_type(coarse, self.params["head_kernel"]))
+        parts, caches = [], [] if collect else None
+        for start in range(0, len(coarse), tile):
+            out, cache = self._head_tile(coarse[start : start + tile], collect)
+            parts.append(out)
+            if collect:
+                caches.append(cache)
+        return np.concatenate(parts), caches
+
+    def _head_tile(self, coarse: np.ndarray, collect: bool):
+        """The head's output on one tile. Every ReLU and residual sum runs in
+        place on the conv output it consumes; the backward needs only their
+        masks."""
         p = self.params
         n = coarse.shape[0]
         z0, c_head = conv2d_3x3_cached(bordered(coarse, self.side), p["head_kernel"], p["head_bias"])
@@ -198,9 +236,46 @@ class LFistaResNet:
         and never runs back through the unrolled blocks.
         """
         grads = {}
-        caches = cache["head"]
-        n = dout.shape[0]
+        d_tiles = []
+        start = 0
+        for caches in cache["head"]:
+            count = len(caches["tail"][0])
+            tile_grads, d_tile = self._head_tile_backward(caches, dout[start : start + count])
+            start += count
+            d_tiles.append(d_tile)
+            for name, g in tile_grads.items():
+                if name in grads:
+                    grads[name] += g
+                else:
+                    grads[name] = g
+        if self.frozen_blocks:
+            return grads
+        d_coarse = np.concatenate(d_tiles)
 
+        op = cache["op"]
+        mu, _ = self.block_scalars(op)
+        d_mu = np.zeros(self.n_blocks)
+        d_theta = np.zeros(self.n_blocks)
+        d_cur = d_coarse
+        d_prev = np.zeros_like(d_coarse)
+        for i in range(self.n_blocks - 1, -1, -1):
+            r, mask = cache["blocks"][i]
+            dz = d_cur * mask
+            d_theta[i] = -dz.sum()
+            # r is mu[i] times the gradient, and mu = softplus(raw) > 0
+            d_mu[i] = -np.sum(dz * r) / mu[i]
+            dy = dz - mu[i] * op.normal(dz)
+            g = self.momentum[i]
+            d_cur = d_prev + (1.0 + g) * dy
+            d_prev = -g * dy
+        grads["block_mu_raw"] = d_mu * sigmoid(self.params["block_mu_raw"])
+        grads["block_theta_raw"] = d_theta * sigmoid(self.params["block_theta_raw"])
+        return grads
+
+    def _head_tile_backward(self, caches, dout: np.ndarray):
+        """The head's parameter gradients on one tile and the gradient of its
+        input maps (None with frozen blocks, which need none)."""
+        grads = {}
         d = bordered(dout, self.side)
         d, grads["tail_kernel"], grads["tail_bias"] = conv2d_3x3_backward(
             caches["tail"], d
@@ -222,29 +297,9 @@ class LFistaResNet:
         d_img, grads["head_kernel"], grads["head_bias"] = conv2d_3x3_backward(
             c_head, d, input_grad=not self.frozen_blocks
         )
-        if self.frozen_blocks:
-            return grads
-        d_coarse = d_img[:, 1:-1, 1:-1, 0].reshape(n, self.side * self.side)
-
-        op = cache["op"]
-        mu, _ = self.block_scalars(op)
-        d_mu = np.zeros(self.n_blocks)
-        d_theta = np.zeros(self.n_blocks)
-        d_cur = d_coarse
-        d_prev = np.zeros_like(d_coarse)
-        for i in range(self.n_blocks - 1, -1, -1):
-            r, mask = cache["blocks"][i]
-            dz = d_cur * mask
-            d_theta[i] = -dz.sum()
-            # r is mu[i] times the gradient, and mu = softplus(raw) > 0
-            d_mu[i] = -np.sum(dz * r) / mu[i]
-            dy = dz - mu[i] * op.normal(dz)
-            g = self.momentum[i]
-            d_cur = d_prev + (1.0 + g) * dy
-            d_prev = -g * dy
-        grads["block_mu_raw"] = d_mu * sigmoid(self.params["block_mu_raw"])
-        grads["block_theta_raw"] = d_theta * sigmoid(self.params["block_theta_raw"])
-        return grads
+        if d_img is None:
+            return grads, None
+        return grads, d_img[:, 1:-1, 1:-1, 0].reshape(len(dout), self.side * self.side)
 
 
 class EchoDnn:
@@ -296,9 +351,12 @@ class EchoDnn:
 
 
 def predict_maps(model, echoes: np.ndarray, op: ImagingOperator | None = None, chunk: int = 64) -> np.ndarray:
-    """Forward a large echo batch in chunks to bound the activation memory.
+    """Forward a large echo batch in chunks of ``chunk`` echoes.
 
-    Raises DivergedError naming the first echo whose map is not finite."""
+    ``chunk`` bounds only the memory of the unrolled stage: the head runs
+    each chunk in its own tiles (see ``HEAD_TILE_BYTES``) whatever the chunk
+    size. Raises DivergedError naming the first echo whose map is not
+    finite."""
     echoes = np.atleast_2d(np.asarray(echoes))
     parts = [
         model.forward(echoes[start : start + chunk], op)

@@ -13,32 +13,42 @@ layout is copied to channel-major first. The output gradient handed to the
 backward must have its ring at 0 too; the input gradient it returns has.
 
 Flattened to (c, n*(h+2)*(w+2)) planes, each of the nine taps is a fixed
-column offset. So the patch matrix of a run of positions is nine copies of
-row slices, and one (c_out x 9 c_in) @ (9 c_in x m) product writes the
-output planes directly. Ring positions read across image edges; their
-outputs are set to 0 afterwards. A conv's input gradient is the same conv of
-the output gradient, with the kernel flipped in both spatial axes and its
-channel axes swapped.
+column offset, and the conv is one product per call. It gathers ``a`` of the
+taps from the input and carries the other ``9/a`` on the product's output
+rows: a (9/a c_out x a c_in) @ (a c_in x positions) product, whose 9/a row
+blocks are then summed at their offsets into the output planes. The split
+gathers the narrow side: ``a`` is the one of 1, 3 and 9 whose square is
+nearest 9 c_out / c_in in ratio (:func:`taps_gathered`), which balances the
+a c_in gathered rows against the 9/a c_out product rows. So a 1 -> 14 conv
+gathers all 9 taps (im2col), a 14 -> 14 conv the 3 column taps of each row,
+and a 14 -> 1 conv nothing: a view of the input planes feeds the product,
+and 9 shifted one-channel rows are summed. Every product has at least 3
+rows and 3 columns, so none runs as a matrix-vector product. Ring positions
+read across image edges; their outputs are set to 0 afterwards. A conv's
+input gradient is the same conv of the output gradient, with the kernel
+flipped in both spatial axes and its channel axes swapped, so it picks its
+own split. The kernel gradient gathers ``a`` taps of the input and the 9/a
+shifts of the output gradient (zero past the planes) and takes one
+(9/a c_out x positions) @ (positions x a c_in) product. The cache holds the
+input and the kernel. What a conv gathers and its product share one
+buffer: glibc returns a freed block at the top of the heap to the system
+once it exceeds twice the largest block freed so far, so two such buffers
+freed together would be faulted in again on the next call.
 
-The conv works in a bounded workspace. The forward, the input gradient and
-the kernel gradient gather the patches of balanced slices of the positions,
-at most ``PATCH_BUDGET_BYTES`` of patch matrix (8,320 positions of 14
-channels in float64) at a time, into one buffer per pass. The cache holds
-the input and the kernel, not the patches.
-
-The forward output and ``dx`` equal those of one unsliced product bit for
-bit, since each output column is the same dot product whichever slice its
-position is in. That needs a BLAS that sums a column the same way wherever
-it falls, which OpenBLAS does only in part. Its GEMM kernels sum the last
-columns short of a full unroll, and products under about 1e6 multiply-adds,
-in another order, so the slices start at multiples of ``SLICE_ALIGN``
-positions, differ in size by at most that many, and none falls far below the
-budget. Its matrix-vector kernel sums columns by where they fall in each
-thread's share, so a one-channel output runs as a two-row GEMM with a zero
-row. ``dkernel`` sums over the slices, so it equals a one-product sum only to
-rounding. Against a channels-last (n*h*w, 9 c_in) @ (9 c_in, c_out) product
-every result agrees only to rounding: the product is oriented the other way,
-and sums some elements in another order.
+What is exact: each output column of a product is a dot product that no
+other column enters, so the forward output and ``dx`` of an image are the
+same bit for bit in any batch, as long as the BLAS sums a column the same
+way wherever it falls. OpenBLAS does so only for columns in a full unroll
+of its GEMM kernels: it sums the last columns short of one in another
+order, and its small-product and blocked kernels disagree there too. So a
+gathered matrix carries zero columns up to a multiple of ``GATHER_ALIGN``.
+The view of the planes an a = 1 product takes ends in the last ring row, so
+its columns short of an unroll are zeros wherever a ring row is at least as
+long as the unroll (30 positions for images 28 pixels wide).
+``dkernel`` and ``dbias`` sum over the positions, so they equal the sum of
+per-image gradients only to rounding. Against a channels-last
+(n*h*w, 9 c_in) @ (9 c_in, c_out) product every result agrees only to
+rounding: the taps are summed in another order.
 """
 
 from __future__ import annotations
@@ -74,14 +84,28 @@ def relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
 
 
-# Bytes of the patch matrix the conv gathers at a time; see the module docstring.
-PATCH_BUDGET_BYTES = 8 << 20
+# A gathered matrix has a multiple of this many columns, which covers the
+# position unroll of OpenBLAS's x86 GEMM kernels in float64 (8) and float32,
+# so the BLAS sums every column the conv keeps in its full-unroll order. See
+# the module docstring.
+GATHER_ALIGN = 16
 
-# Slices of the positions start at multiples of this many positions from the
-# first, a multiple of every x86 GEMM kernel's unroll (16 positions or fewer
-# in float64 and float32): a kernel then covers each position with the same
-# block in a slice as in one product over all positions.
-SLICE_ALIGN = 64
+
+def taps_gathered(c_in: int, c_out: int) -> int:
+    """How many of the 9 taps a conv of c_in -> c_out channels gathers from
+    its input: the one of 1, 3 and 9 whose square is nearest 9 c_out / c_in
+    in ratio."""
+    return min((1, 3, 9), key=lambda a: abs(np.log(a * a * c_in / (9 * c_out))))
+
+
+def _split(c_in: int, c_out: int, wb: int):
+    """Column offsets, in planes ``wb`` wide, of the ``a`` gathered taps and
+    of the 9/a carried tap groups. Tap t = 3 di + dj is gathered tap t % a of
+    carried group t // a, and its offset is the sum of theirs."""
+    a = taps_gathered(c_in, c_out)
+    offset = [(t // 3 - 1) * wb + t % 3 - 1 for t in range(9)]
+    middle = 9 // a // 2 * a
+    return offset[middle : middle + a], offset[a // 2 :: a]
 
 
 def _planes(x: np.ndarray, dtype) -> np.ndarray:
@@ -90,47 +114,48 @@ def _planes(x: np.ndarray, dtype) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(3, 0, 1, 2), dtype=dtype).reshape(x.shape[3], -1)
 
 
-def _patches(planes: np.ndarray, shape):
-    """Yield (start, stop, patch matrix) over balanced slices of the positions
-    of the planes of bordered images of ``shape``. Each (9*c, stop - start)
-    patch matrix, rows ordered (tap, channel), is gathered into one buffer of
-    at most ``PATCH_BUDGET_BYTES``. The positions run from the first interior
-    pixel to the last, so every tap stays inside the planes."""
-    c = planes.shape[0]
-    n, hb, wb = shape[:3]
-    first, end = wb + 1, n * hb * wb - wb - 1
-    blocks = -(-(end - first) // SLICE_ALIGN)
-    per_slice = max(1, PATCH_BUDGET_BYTES // (SLICE_ALIGN * 9 * c * planes.itemsize))
-    count = -(-blocks // per_slice)
-    bounds = [first + SLICE_ALIGN * (blocks * i // count) for i in range(count)] + [end]
-    buf = np.empty(9 * c * SLICE_ALIGN * -(-blocks // count), dtype=planes.dtype)
-    offsets = [(di - 1) * wb + dj - 1 for di in range(3) for dj in range(3)]
-    for start, stop in zip(bounds, bounds[1:]):
-        patches = buf[: 9 * c * (stop - start)].reshape(9, c, stop - start)
-        for tap, offset in enumerate(offsets):
-            patches[tap] = planes[:, start + offset : stop + offset]
-        yield start, stop, patches.reshape(9 * c, stop - start)
+def _gather(buf: np.ndarray, planes: np.ndarray, offsets, lo: int) -> np.ndarray:
+    """Fill ``buf``, (len(offsets) * c, cols) with rows ordered (offset,
+    channel), so that column j holds the planes at column lo + j + offset,
+    zero past the planes; returns ``buf``."""
+    c, size = planes.shape
+    cols = buf.shape[1]
+    for rows, offset in zip(buf.reshape(len(offsets), c, cols), offsets):
+        start, stop = max(lo + offset, 0), min(lo + cols + offset, size)
+        rows[:, : start - lo - offset] = 0
+        rows[:, start - lo - offset : stop - lo - offset] = planes[:, start:stop]
+        rows[:, stop - lo - offset :] = 0
+    return buf
 
 
-def _correlate(planes: np.ndarray, weights: np.ndarray, shape, bias=None) -> np.ndarray:
+def _correlate(planes: np.ndarray, kernel: np.ndarray, shape, bias=None) -> np.ndarray:
     """Bordered channel-major (n, h+2, w+2, c_out) cross-correlation of the
-    planes with ``weights`` (c_out, 9*c_in), columns ordered (tap, channel),
-    plus ``bias``, with the ring set to 0."""
-    c_out = weights.shape[0]
-    if c_out == 1:
-        # numpy runs a one-row product as a matrix-vector product; see the
-        # module docstring.
-        weights = np.vstack([weights, np.zeros_like(weights)])
-    out = np.empty((len(weights), *shape[:3]), dtype=planes.dtype)
-    flat = out.reshape(len(weights), -1)
-    for start, stop, patches in _patches(planes, shape):
-        rows = flat[:, start:stop]
-        np.matmul(weights, patches, out=rows)
-        if bias is not None:
-            rows += bias[:, None]
+    planes of bordered images of ``shape`` with ``kernel`` (3, 3, c_in,
+    c_out), plus ``bias``, with the ring set to 0."""
+    c_in, c_out = kernel.shape[2:]
+    n, hb, wb = shape[:3]
+    gathered, carried = _split(c_in, c_out, wb)
+    a, k = len(gathered), len(carried)
+    first, m = wb + 1, n * hb * wb - 2 * wb - 2
+    lo, width = first + carried[0], m - 2 * carried[0]
+    weights = kernel.reshape(k, a, c_in, c_out).transpose(0, 3, 1, 2)
+    weights = np.ascontiguousarray(weights, dtype=planes.dtype).reshape(k * c_out, a * c_in)
+    if a == 1:  # the product takes a view of the planes
+        work = np.empty((k * c_out, width), dtype=planes.dtype)
+        taps = planes[:, lo : lo + width]
+    else:
+        cols = -(-width // GATHER_ALIGN) * GATHER_ALIGN
+        work = np.empty((k * c_out + a * c_in, cols), dtype=planes.dtype)
+        taps = _gather(work[k * c_out :], planes, gathered, lo)
+    blocks = np.matmul(weights, taps, out=work[: k * c_out]).reshape(k, c_out, -1)
+    out = np.empty((c_out, n, hb, wb), dtype=planes.dtype)
+    rows = out.reshape(c_out, -1)[:, first : first + m]
+    np.add(blocks[0, :, :m], 0.0 if bias is None else bias[:, None], out=rows)
+    for block, offset in zip(blocks[1:], carried[1:]):
+        rows += block[:, offset - carried[0] : offset - carried[0] + m]
     out[:, :, [0, -1]] = 0
     out[:, :, :, [0, -1]] = 0
-    return out[:c_out].transpose(1, 2, 3, 0)
+    return out.transpose(1, 2, 3, 0)
 
 
 def conv2d_3x3_cached(x, kernel, bias):
@@ -154,8 +179,7 @@ def conv2d_3x3_cached(x, kernel, bias):
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} does not match c_out {c_out}")
     dtype = np.result_type(x, kernel, bias)
-    weights = np.ascontiguousarray(kernel.reshape(9 * c_in, c_out).T, dtype=dtype)
-    return _correlate(_planes(x, dtype), weights, x.shape, bias), (x, kernel)
+    return _correlate(_planes(x, dtype), kernel, x.shape, bias), (x, kernel)
 
 
 def conv2d_3x3_backward(cache, dout: np.ndarray, input_grad: bool = True):
@@ -168,20 +192,30 @@ def conv2d_3x3_backward(cache, dout: np.ndarray, input_grad: bool = True):
     c_in, c_out = kernel.shape[2:]
     dtype = np.result_type(x, kernel, dout)
     d_planes = _planes(dout, dtype)
-
-    # dx first: its output is allocated before any patch buffer, so the
-    # kernel gradient's gather reuses the freed one instead of growing the
-    # heap (which glibc then trims back, to be faulted in again next call).
     dx = None
     if input_grad:
-        flipped = kernel[::-1, ::-1].reshape(9, c_in, c_out).transpose(1, 0, 2)
-        flipped = np.ascontiguousarray(flipped, dtype=dtype).reshape(c_in, 9 * c_out)
-        dx = _correlate(d_planes, flipped, dout.shape)
-    dkernel = sum(
-        d_planes[:, start:stop] @ patches.T
-        for start, stop, patches in _patches(_planes(x, dtype), x.shape)
-    )
-    return dx, dkernel.T.reshape(3, 3, c_in, c_out), d_planes.sum(axis=1)
+        dx = _correlate(d_planes, kernel[::-1, ::-1].transpose(0, 1, 3, 2), dout.shape)
+
+    n, hb, wb = x.shape[:3]
+    gathered, carried = _split(c_in, c_out, wb)
+    a, k = len(gathered), len(carried)
+    lo, width = wb + 1 + carried[0], n * hb * wb - 2 * wb - 2 - 2 * carried[0]
+    # One buffer holds what is gathered: the 9/a shifts of dout unless there
+    # is one (a = 9), and the a taps of x unless there is one (a = 1).
+    x_planes = _planes(x, dtype)
+    d_rows = k * c_out if k > 1 else 0
+    x_rows = a * c_in if a > 1 else 0
+    work = np.empty((d_rows + x_rows, width), dtype=dtype)
+    if d_rows:
+        shifted = _gather(work[:d_rows], d_planes, [-offset for offset in carried], lo)
+    else:
+        shifted = d_planes[:, lo : lo + width]
+    if x_rows:
+        taps = _gather(work[d_rows:], x_planes, gathered, lo)
+    else:
+        taps = x_planes[:, lo : lo + width]
+    dkernel = np.matmul(shifted, taps.T).reshape(k, c_out, a, c_in).transpose(0, 2, 3, 1)
+    return dx, dkernel.reshape(3, 3, c_in, c_out), d_planes.sum(axis=1)
 
 
 def dense_cached(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):

@@ -104,10 +104,13 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
     bc2 = 1.0 - state.beta2**state.step
     for name in state.m:
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
         params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return state
 

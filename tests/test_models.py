@@ -10,6 +10,7 @@ from radarqi.fista import ImagingOperator, fista_iterates, nonneg_shrink
 from radarqi.forward import synthesize_echoes
 from radarqi.models import EchoDnn, LFistaResNet, build_model, predict_maps
 from radarqi.nn_ops import conv2d_3x3_backward, conv2d_3x3_cached, softplus_inv
+from radarqi.training import AdamState, adam_step, hybrid_loss_batch
 
 from test_nn_ops import naive_conv, ring_is_zero
 
@@ -215,14 +216,29 @@ class TestModelForward:
         )
 
 
+def tile_caches(caches):
+    """The conv inputs and the masks of every tile's head cache."""
+    inputs, masks = [], []
+    for tile in caches:
+        inputs += [tile["head"][0][0], tile["tail"][0]]
+        masks.append(tile["head"][1])
+        for name in tile:
+            if name.startswith("res"):
+                c1, m1, c2, m_sum = tile[name]
+                inputs += [c1[0], c2[0]]
+                masks += [m1, m_sum]
+    return inputs, masks
+
+
 class TestBorderedHead:
     """The head runs on (n, 30, 30, c) images whose outer ring stays 0."""
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_every_head_activation_keeps_a_zero_ring(self, monkeypatch, table1_op, frozen):
         model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
+        n = model.tile_images(np.float64) + 2  # two tiles
         rng = np.random.default_rng(19)
-        echoes = rng.normal(size=(3, 200)) + 1j * rng.normal(size=(3, 200))
+        echoes = rng.normal(size=(n, 200)) + 1j * rng.normal(size=(n, 200))
         outputs, upstream = [], []
 
         def forward_recording(x, kernel, bias):
@@ -239,15 +255,11 @@ class TestBorderedHead:
         monkeypatch.setattr(models, "conv2d_3x3_cached", forward_recording)
         monkeypatch.setattr(models, "conv2d_3x3_backward", backward_recording)
         _, cache = model.forward_cached(echoes)
-        model.backward(cache, rng.normal(size=(3, 784)))
-        assert outputs == [True] * 6 and upstream == [True] * 12
-        head = cache["head"]
-        inputs = [head["head"][0][0], head["tail"][0]]
-        masks = [head["head"][1]]
-        for rb in (1, 2):
-            c1, m1, c2, m_sum = head[f"res{rb}"]
-            inputs += [c1[0], c2[0]]
-            masks += [m1, m_sum]
+        model.backward(cache, rng.normal(size=(n, 784)))
+        assert len(cache["head"]) == 2
+        assert outputs == [True] * 12 and upstream == [True] * 24
+        inputs, masks = tile_caches(cache["head"])
+        assert len(inputs) == 12 and len(masks) == 10
         for arr in inputs + masks:
             assert arr.shape[1:3] == (30, 30) and ring_is_zero(arr)
 
@@ -255,12 +267,72 @@ class TestBorderedHead:
     def test_float32_stays_float32_through_the_convs(self, table1_op, frozen):
         model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
         model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
-        coarse = np.random.default_rng(20).uniform(0, 1, (2, 784)).astype(np.float32)
+        n = model.tile_images(np.float32) + 2  # two tiles
+        coarse = np.random.default_rng(20).uniform(0, 1, (n, 784)).astype(np.float32)
         out, caches = model._head(coarse, collect=True)
-        assert out.dtype == np.float32
-        conv_inputs = [caches["head"][0][0], caches["tail"][0]]
-        conv_inputs += [c[0] for rb in (1, 2) for c in caches[f"res{rb}"][::2]]
-        assert [x.dtype for x in conv_inputs] == [np.float32] * 6
+        assert out.dtype == np.float32 and len(caches) == 2
+        inputs, _ = tile_caches(caches)
+        assert [x.dtype for x in inputs] == [np.float32] * 12
+
+
+class TestHeadTiles:
+    """The head runs depth-first over tiles of images; a batch of two full
+    tiles and a part tile gives what its images give one by one."""
+
+    @pytest.fixture
+    def echoes(self, table1_scene, table1_op):
+        _, grid, _, _, matrix = table1_scene
+        n = 2 * LFistaResNet(table1_op, ExperimentConfig(), False, 0).tile_images(np.float64) + 3
+        rng = np.random.default_rng(21)
+        maps = rng.uniform(0, 1, (n, len(grid))) * (rng.uniform(size=(n, len(grid))) < 0.1)
+        return synthesize_echoes(matrix, maps)
+
+    def test_tile_of_the_paper_geometry(self, table1_op):
+        model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
+        assert model.tile_images(np.float64) == 7
+        assert model.tile_images(np.float32) == 15
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_head_rows_equal_the_batch_one_rows(self, table1_op, echoes, frozen):
+        model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
+        coarse = model.lfista_stage(echoes)
+        out, caches = model._head(coarse, collect=True)
+        assert [len(tile["tail"][0]) for tile in caches] == [7, 7, 3]
+        for i, row in enumerate(out):
+            np.testing.assert_array_equal(model._head(coarse[i : i + 1], collect=False)[0][0], row)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_gradients_sum_the_single_image_gradients(self, table1_op, echoes, frozen):
+        model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
+        upstream = np.random.default_rng(22).normal(size=(len(echoes), 784))
+        _, cache = model.forward_cached(echoes)
+        grads = model.backward(cache, upstream)
+        singles = []
+        for echo, row in zip(echoes, upstream):
+            _, one = model.forward_cached(echo)
+            singles.append(model.backward(one, row[None]))
+        assert set(grads) == set(model.params)
+        for name, g in grads.items():
+            total = sum(single[name] for single in singles)
+            assert np.max(np.abs(g - total)) <= 1e-12 * np.max(np.abs(g)), name
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_finite_difference_across_a_tile_boundary(self, monkeypatch, frozen):
+        model = small_model(seed=23, frozen=frozen, res_blocks=2)
+        image = 2 * 6 * 6 * 8  # 2 channels of 4x4, bordered, in float64
+        monkeypatch.setattr(models, "HEAD_TILE_BYTES", 2 * image)
+        rng = np.random.default_rng(23)
+        echoes = rng.normal(size=(5, 10)) + 1j * rng.normal(size=(5, 10))
+        weights = rng.normal(size=(5, 16))
+        _, cache = model.forward_cached(echoes)
+        assert len(cache["head"]) == 3  # 2 + 2 + 1 images
+        grads = model.backward(cache, weights)
+        for name in model.params:
+            fd = finite_difference_grad(
+                lambda _arr: float(np.sum(model.forward(echoes) * weights)), model.params[name]
+            )
+            err = relative_grad_error(grads[name], fd)
+            assert err < 1e-4, f"{name}: {err}"
 
 
 class TestEchoDnn:
@@ -412,9 +484,13 @@ class TestFrozenBlocks:
 
 
 class TestWorkspace:
-    """Peak traced memory of the network at the paper geometry. A whole-batch
-    patch matrix of 64 images of 14 channels is 51 MB; the conv gathers
-    slices of at most nn_ops.PATCH_BUDGET_BYTES instead."""
+    """Peak traced memory of the network at the paper geometry. The head runs
+    in tiles of models.HEAD_TILE_BYTES, so its workspace does not grow with
+    the batch. Each bound is the peak measured with OpenBLAS at 1 and 2
+    threads plus about a quarter: 7.9 MB for predict_maps of 64 echoes (a
+    whole-batch head took 41.5), 13.9 MB for a cached forward of 16 and
+    18.2 MB for a training step of 16 (19.1 and 23.9 with a whole-batch
+    head)."""
 
     @staticmethod
     def peak_mb(fn):
@@ -429,15 +505,30 @@ class TestWorkspace:
     def model_and_echoes(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
         maps = np.random.default_rng(18).uniform(0, 1, (64, len(grid)))
-        return LFistaResNet(table1_op, ExperimentConfig(), False, 0), synthesize_echoes(matrix, maps)
+        model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
+        return model, synthesize_echoes(matrix, maps), maps
 
     def test_predict_maps_of_64_echoes(self, model_and_echoes):
-        model, echoes = model_and_echoes
-        assert self.peak_mb(lambda: predict_maps(model, echoes)) < 100.0
+        model, echoes, _ = model_and_echoes
+        assert self.peak_mb(lambda: predict_maps(model, echoes)) < 10.0
 
     def test_cached_forward_of_16_echoes(self, model_and_echoes):
-        model, echoes = model_and_echoes
-        assert self.peak_mb(lambda: model.forward_cached(echoes[:16])) < 40.0
+        model, echoes, _ = model_and_echoes
+        assert self.peak_mb(lambda: model.forward_cached(echoes[:16])) < 17.5
+
+    def test_training_step_of_16_echoes(self, model_and_echoes, table1_op):
+        model, echoes, maps = model_and_echoes
+        cfg = ExperimentConfig()
+        state = AdamState.for_params(model.params, cfg.learning_rate)
+
+        def step():
+            out, cache = model.forward_cached(echoes[:16])
+            _, dout = hybrid_loss_batch(
+                maps[:16], out, echoes[:16], table1_op, cfg.loss_lambda1, cfg.loss_lambda2
+            )
+            adam_step(model.params, model.backward(cache, dout), state)
+
+        assert self.peak_mb(step) < 23.0
 
 
 class TestBuildModel:

@@ -210,11 +210,6 @@ class TestConvBackward:
         conv2d_3x3_backward(cache, border(rng.normal(size=(2, 5, 5, 4))))
 
 
-# The fewest bordered 28x28 images of 14 channels whose float64 patch matrix
-# exceeds the budget: the conv gathers them in two slices.
-SLICE = nn_ops.PATCH_BUDGET_BYTES // (30 * 30 * 9 * 14 * 8) + 1
-
-
 def whole_batch_conv(x, kernel, bias, dout):
     """Forward output and (dx, dkernel, dbias) of (n, h, w, c) batches from one
     channels-last (n*h*w, 9*c_in) patch matrix of the whole batch each."""
@@ -239,49 +234,67 @@ def conv_and_grads(x, kernel, bias, dout):
     return (out, *conv2d_3x3_backward(cache, dout))
 
 
-def record_gathers(monkeypatch) -> list[int]:
-    """Bytes of each patch matrix the conv gathers from now on."""
-    gathered = []
-    gather = nn_ops._patches
+class TestSplitConv:
+    """The conv gathers a of the 9 taps and carries 9/a on the product's rows."""
 
-    def recording(planes, shape):
-        for start, stop, patches in gather(planes, shape):
-            gathered.append(patches.nbytes)
-            yield start, stop, patches
+    @pytest.mark.parametrize(
+        "c_in, c_out, gathered", [(1, 14, 9), (14, 14, 3), (14, 1, 1), (3, 5, 3), (1, 1, 3)]
+    )
+    def test_split_table(self, c_in, c_out, gathered):
+        assert nn_ops.taps_gathered(c_in, c_out) == gathered
 
-    monkeypatch.setattr(nn_ops, "_patches", recording)
-    return gathered
+    def test_no_product_is_a_vector(self, monkeypatch):
+        # a product with a single row or column runs as a matrix-vector
+        # product, which sums each element in an order that depends on how
+        # the threads share it
+        shapes = []
+        matmul = np.matmul
+
+        def recording(a, b, *args, **kwargs):
+            shapes.append((a.shape[0], b.shape[1]))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        rng = np.random.default_rng(12)
+        for c_in, c_out in [(1, 14), (14, 14), (14, 1), (3, 5), (1, 1)]:
+            x = border(rng.normal(size=(2, 6, 5, c_in)))
+            kernel = rng.normal(size=(3, 3, c_in, c_out))
+            conv_and_grads(x, kernel, np.zeros(c_out), border(rng.normal(size=(2, 6, 5, c_out))))
+        assert len(shapes) == 15  # out, dx and dkernel: one product each
+        assert min(min(shape) for shape in shapes) >= 3
 
 
 class TestSlicedConv:
-    @pytest.mark.parametrize("n", [1, SLICE, SLICE + 1, 2 * SLICE + 3])
+    """A batch conv'd whole or in slices of images, as the head runs it in tiles."""
+
+    @pytest.mark.parametrize("n", [1, 10, 11, 23])
     @pytest.mark.parametrize("c_in, c_out", [(1, 14), (14, 14), (14, 1)])
-    def test_equals_a_whole_batch_gather(self, monkeypatch, n, c_in, c_out):
-        # The forward output and dx equal one unsliced product bit for bit;
-        # dkernel and dbias sum in another order, so agree to rounding.
+    def test_equals_a_whole_batch_gather(self, n, c_in, c_out):
+        # Each image's forward output and dx are the same bit for bit in any
+        # slice; dkernel and dbias sum over the slices, so agree to rounding.
         rng = np.random.default_rng(n * 1000 + c_in * 100 + c_out)
         x = border(rng.normal(size=(n, 28, 28, c_in)))
         kernel = rng.normal(size=(3, 3, c_in, c_out))
         bias = rng.normal(size=c_out)
         upstream = border(rng.normal(size=(n, 28, 28, c_out)))
 
-        got = conv_and_grads(x, kernel, bias, upstream)
-        monkeypatch.setattr(nn_ops, "PATCH_BUDGET_BYTES", 1 << 62)
-        gathered = record_gathers(monkeypatch)
-        want = conv_and_grads(x, kernel, bias, upstream)
-        assert len(gathered) == 3  # one patch matrix each for out, dkernel, dx
-        np.testing.assert_array_equal(got[0], want[0], err_msg="out")
-        np.testing.assert_array_equal(got[1], want[1], err_msg="dx")
-        for name, g, w in zip(("dkernel", "dbias"), got[2:], want[2:]):
-            assert_close_to_scale(g, w, name)
+        whole = conv_and_grads(x, kernel, bias, upstream)
+        sliced = [
+            conv_and_grads(x[i : i + 4], kernel, bias, upstream[i : i + 4]) for i in range(0, n, 4)
+        ]
+        for name, index in (("out", 0), ("dx", 1)):
+            joined = np.concatenate([part[index] for part in sliced])
+            np.testing.assert_array_equal(whole[index], joined, err_msg=name)
+        for name, index in (("dkernel", 2), ("dbias", 3)):
+            assert_close_to_scale(whole[index], sum(part[index] for part in sliced), name)
 
-    @pytest.mark.parametrize("n", [1, 2 * SLICE + 3])
-    @pytest.mark.parametrize("c_in, c_out", [(1, 14), (14, 14), (14, 1)])
+    @pytest.mark.parametrize("n", [1, 23])
+    @pytest.mark.parametrize("c_in, c_out", [(1, 14), (14, 14), (14, 1), (3, 5), (1, 1)])
     def test_agrees_with_the_channels_last_product(self, n, c_in, c_out):
-        # The product is oriented the other way and rounds most elements
-        # differently in the last bits: on unit-normal inputs, out and
-        # dx differ by up to about 4e-14, dkernel and dbias by up to 2e-12,
-        # each under 1e-14 of the largest magnitude.
+        # Every split, forward and dx: dx is the conv of dout with the flipped
+        # kernel, c_out -> c_in, so it runs the split of the swapped shape.
+        # The taps are summed in another order, so most elements round
+        # differently in the last bits.
         rng = np.random.default_rng(n * 1000 + c_in * 100 + c_out + 7)
         x = rng.normal(size=(n, 28, 28, c_in))
         kernel = rng.normal(size=(3, 3, c_in, c_out))
@@ -296,50 +309,12 @@ class TestSlicedConv:
                 g = interior(g)
             assert_close_to_scale(g, w, name)
 
-    def test_no_slice_is_left_small(self, monkeypatch):
-        # 26 bordered 28x28 images of 5 channels are 23,338 positions against
-        # 23,296 per slice: unbalanced, the second slice would be 42 positions,
-        # and a BLAS may sum so small a product in another order.
-        rng = np.random.default_rng(64)
-        x = border(rng.normal(size=(26, 28, 28, 3)))
-        kernel = rng.normal(size=(3, 3, 3, 5))
-        upstream = border(rng.normal(size=(26, 28, 28, 5)))
-        gathered = record_gathers(monkeypatch)
-        got = conv_and_grads(x, kernel, np.zeros(5), upstream)
-        assert len(gathered) == 4  # forward, dx in two slices, dkernel
-        dx_gathers = gathered[1:3]
-        assert max(dx_gathers) - min(dx_gathers) <= 9 * 5 * 8 * nn_ops.SLICE_ALIGN
-        monkeypatch.setattr(nn_ops, "PATCH_BUDGET_BYTES", 1 << 62)
-        want = conv_and_grads(x, kernel, np.zeros(5), upstream)
-        np.testing.assert_array_equal(got[1], want[1])
-
     def test_cache_holds_the_input_and_the_kernel(self):
         rng = np.random.default_rng(5)
-        x = border(rng.normal(size=(2 * SLICE + 3, 28, 28, 14)))
+        x = border(rng.normal(size=(23, 28, 28, 14)))
         kernel = rng.normal(size=(3, 3, 14, 14))
         _, cache = conv2d_3x3_cached(x, kernel, np.zeros(14))
         assert len(cache) == 2 and cache[0] is x and cache[1] is kernel
-
-    def test_forward_and_input_gradient_gather_within_the_budget(self, monkeypatch):
-        # Every patch matrix the forward, dkernel and dx gather at n = 64 fits
-        # in the budget, and none falls far below it.
-        rng = np.random.default_rng(6)
-        x = conv2d_3x3_cached(
-            border(rng.normal(size=(64, 28, 28, 1))), rng.normal(size=(3, 3, 1, 14)), np.zeros(14)
-        )[0]
-        kernel = rng.normal(size=(3, 3, 14, 14))
-        dout = border(rng.normal(size=(64, 28, 28, 14)))
-        budget = nn_ops.PATCH_BUDGET_BYTES
-        gathered = record_gathers(monkeypatch)
-
-        _, cache = conv2d_3x3_cached(x, kernel, np.zeros(14))
-        per_call = len(gathered)  # 57,538 positions at 8,322 per slice
-        assert per_call == 7
-        conv2d_3x3_backward(cache, dout, input_grad=False)
-        assert len(gathered) == 2 * per_call  # dkernel alone
-        conv2d_3x3_backward(cache, dout)
-        assert len(gathered) == 4 * per_call  # dx, then dkernel
-        assert budget // 2 <= min(gathered) and max(gathered) <= budget
 
     def test_without_the_input_gradient(self):
         rng = np.random.default_rng(7)

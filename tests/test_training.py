@@ -205,6 +205,21 @@ class TestAdam:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_moments_update_in_place_as_the_textbook_formula(self):
+        rng = np.random.default_rng(12)
+        params = {"w": rng.normal(size=(3, 4))}
+        state = AdamState.for_params(params, lr=0.05)
+        m, v = state.m["w"], state.v["w"]
+        want_m, want_v = m.copy(), v.copy()
+        for _ in range(5):
+            g = rng.normal(size=(3, 4))
+            want_m = state.beta1 * want_m + (1.0 - state.beta1) * g
+            want_v = state.beta2 * want_v + (1.0 - state.beta2) * g * g
+            adam_step(params, {"w": g}, state)
+        assert state.m["w"] is m and state.v["w"] is v
+        np.testing.assert_array_equal(m, want_m)
+        np.testing.assert_array_equal(v, want_v)
+
 
 class TestPlateauSchedule:
     def test_eleven_stale_epochs_trigger_one_drop(self):
