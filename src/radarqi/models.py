@@ -182,7 +182,7 @@ class LFistaResNet:
             parts.append(out)
             if collect:
                 caches.append(cache)
-        return np.concatenate(parts), caches
+        return np.concatenate(parts) if parts else np.empty_like(coarse), caches
 
     def _head_tile(self, coarse: np.ndarray, collect: bool):
         """The head's output on one tile. Every ReLU and residual sum runs in
@@ -355,12 +355,12 @@ def predict_maps(model, echoes: np.ndarray, op: ImagingOperator | None = None, c
 
     ``chunk`` bounds only the memory of the unrolled stage: the head runs
     each chunk in its own tiles (see ``HEAD_TILE_BYTES``) whatever the chunk
-    size. Raises DivergedError naming the first echo whose map is not
-    finite."""
+    size. A (0, m) batch gives (0, P) maps. Raises DivergedError naming the
+    first echo whose map is not finite."""
     echoes = np.atleast_2d(np.asarray(echoes))
     parts = [
         model.forward(echoes[start : start + chunk], op)
-        for start in range(0, len(echoes), chunk)
+        for start in range(0, max(len(echoes), 1), chunk)
     ]
     maps = np.concatenate(parts, axis=0)
     bad = np.flatnonzero(~np.isfinite(maps).all(axis=1))

@@ -10,6 +10,7 @@ from radarqi.fista import (
     FistaConfig,
     ImagingOperator,
     energy,
+    fista_iterates,
     fista_solve,
     fista_solve_many,
     momentum_coeffs,
@@ -315,12 +316,16 @@ class TestFistaSolve:
         assert np.max(np.abs(got.estimate - x)) <= 1e-8
 
     def test_iterations_allocate_no_rows(self, table1_scene, table1_op):
-        # At the peak the solve holds four iteration buffers, the zero start
-        # estimate and a boolean finiteness mask, each at most one (n, P)
-        # array, and its small range coordinates. One more (n, P) temporary
-        # per iteration would pass six arrays; a kept one would make 2,000
+        # At the peak the solve holds four (n, P) float buffers (the iterate,
+        # the one before it, which becomes y, and the last two clipped
+        # offsets, one of which first takes mid C), two (n, P) boolean masks
+        # (the changed offsets and the finiteness check), five (n, r) arrays
+        # (z, the carried coordinates of x and x_prev, their d C^T, and mid)
+        # and the sparse update's gather and scatter, which together hold at
+        # most one more: about 5.5 rows at n = 100. One more (n, P) temporary
+        # per iteration would pass six rows; a kept one would make 2,000
         # iterations peak higher than 20 by more than the O(iterations)
-        # step, threshold and momentum vectors.
+        # momentum vector.
         cfg, _, _, _, matrix = table1_scene
         echoes = synthesize_echoes(matrix, rasters_to_maps(synthetic_digit_rasters(100, 0), cfg.side_cells))
         rows = echoes.shape[0] * matrix.shape[1] * 8
@@ -334,6 +339,60 @@ class TestFistaSolve:
                 tracemalloc.stop()
         assert peaks[20] < 6 * rows
         assert peaks[2000] <= peaks[20] + 3 * 8 * 2000
+
+    def test_matches_the_two_product_iteration(self, table1_scene, table1_op, monkeypatch):
+        # The solver carries x C^T instead of forming y C^T. After the first
+        # iterations, where many clipped offsets change, it runs no
+        # (n, P) @ (P, r) product but every RESYNC_ITERS-th iteration's.
+        # Without those resets the carried coordinates drift: on these
+        # digits (seed 1) the estimates moved by 2.3e-8 of their scale.
+        cfg, _, _, _, matrix = table1_scene
+        echoes = synthesize_echoes(matrix, rasters_to_maps(synthetic_digit_rasters(100, 1), cfg.side_cells))
+        lam, n_iter = 0.001, 2000
+        steps = np.full(n_iter, 1.0 / table1_op.lmax)
+        for want, _, _ in fista_iterates(table1_op, echoes, steps, lam * steps, soft_threshold):
+            pass
+        n, (r, p) = len(echoes), table1_op.factor.shape
+        matmul = np.matmul
+        calls = {"mid C": 0}
+        full = set()  # iterations (counted by their mid C product) running one
+
+        def spy(a, b, *args, **kwargs):
+            if a.shape == (n, r) and b.shape == (r, p):
+                calls["mid C"] += 1
+            elif a.shape == (n, p) and b.shape == (p, r):
+                full.add(calls["mid C"])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got = fista_solve_many(matrix, echoes, FistaConfig(lam=lam, max_iter=n_iter), table1_op)
+        monkeypatch.undo()
+        assert calls["mid C"] == n_iter
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+        late = [i for i in full if i >= 500]
+        assert len(late) < 0.1 * (n_iter - 500)
+
+    @pytest.mark.parametrize("scale, iteration", [(1e308, 1), (0.75e308, 2)])
+    def test_an_overflow_that_the_range_residual_misses_is_named(self, scale, iteration):
+        # A = H_4 / 2 is orthogonal, so the step is 1 and the first iterate
+        # is about A^T s. The four equal entries of s add up in its first
+        # entry: 2e308 overflows at once; 1.5e308 stays finite, and the
+        # momentum step of iteration 2 overflows. The range residual stays
+        # finite either way, since the clip maps +-inf to +-theta, so only
+        # the check on the iterate itself can name the iteration.
+        a = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        s = np.full(4, scale)
+        op = ImagingOperator(a)
+        assert op.lmax == 1.0
+        assert np.isfinite(op.coords(s)).all()
+        with pytest.raises(DivergedError, match=f"at iteration {iteration}$"):
+            fista_solve(a, s, FistaConfig(lam=0.001, max_iter=10), op)
+
+    def test_an_empty_batch_gives_no_estimates(self, table1_scene, table1_op):
+        _, grid, _, _, matrix = table1_scene
+        echoes = np.zeros((0, matrix.shape[0]), dtype=complex)
+        cfg = FistaConfig(lam=0.001, max_iter=2000)
+        assert fista_solve_many(matrix, echoes, cfg, table1_op).shape == (0, len(grid))
 
     @pytest.mark.parametrize(
         "lam, max_iter", [(float("nan"), 10), (float("inf"), 10), (-0.1, 10), (0.01, 0)]
@@ -416,6 +475,13 @@ class TestImagingOperator:
         assert np.max(np.abs(off)) <= 1e-13 * np.max(np.abs(rows))
         assert len(factor) < 2 * k
         assert len(factor) <= factor.shape[1]
+
+    def test_spectrum_is_the_factor_row_gram_spectrum(self, table1_op):
+        # the paper geometry's lmax(C C^T), half of lmax
+        want = np.linalg.eigvalsh(table1_op.factor @ table1_op.factor.T)
+        assert table1_op.spectrum.shape == (len(table1_op.factor),)
+        assert np.max(np.abs(table1_op.spectrum - want)) <= 1e-12 * want[-1]
+        assert table1_op.spectrum.max() == pytest.approx(7769, rel=1e-3)
 
     def test_holds_no_array_of_the_grid_squared(self, table1_op):
         sizes = [v.size for v in vars(table1_op).values() if isinstance(v, np.ndarray)]

@@ -215,6 +215,14 @@ class TestModelForward:
             predict_maps(model, echoes, chunk=3), model.forward(echoes), atol=1e-12
         )
 
+    @pytest.mark.parametrize("kind", ["lfista_resnet", "fista_resnet", "dnn"])
+    def test_an_empty_batch_gives_no_maps(self, table1_scene, table1_op, kind):
+        _, grid, _, _, matrix = table1_scene
+        model = build_model(kind, table1_op, ExperimentConfig(), seed=0)
+        echoes = np.zeros((0, matrix.shape[0]), dtype=complex)
+        assert model.forward(echoes, table1_op).shape == (0, len(grid))
+        assert predict_maps(model, echoes, table1_op).shape == (0, len(grid))
+
 
 def tile_caches(caches):
     """The conv inputs and the masks of every tile's head cache."""
