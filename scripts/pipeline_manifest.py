@@ -24,8 +24,9 @@ artifact except ``timing.txt`` files (wall-clock times), and
 only one side has, and for each that differs: the largest absolute and
 relative difference of a CSV's numeric cells or of each array of a
 checkpoint or echo container (with the header lines that differ), and the
-count and largest difference of a PGM's grey levels. Run it on two
-``run`` directories, such as a parent commit's and a change's.
+count and largest difference of a PGM's grey levels. It exits 0 when
+both sides hold the same artifacts, byte for byte, and 1 otherwise. Run it
+on two ``run`` directories, such as a parent commit's and a change's.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def compare(root_a: Path, root_b: Path) -> int:
     for rel in differing:
         how = describe.get(Path(rel).suffix)
         print(f"{rel}: {how(files_a[rel], files_b[rel]) if how else 'bytes differ'}")
-    return 0
+    return 1 if differing or files_a.keys() != files_b.keys() else 0
 
 
 def main(argv=None) -> int:

@@ -3,12 +3,15 @@
 Subcommands: synth, fista, train, infer, eval, sweep-snr, sweep-freq,
 shapes. Exit codes: 0 success, 2 configuration error (including a missing
 checkpoint), 3 data/format error, 4 numerical divergence. Exit 3 also covers
-inputs made for another scene: an ``eval --echoes`` container whose sweep or
-array differs from the config, that was made with another seed, whose echo
-count differs from the test split, or whose header names another split (a
-container that names none is taken as the test split); an ``infer``
-container of another array, frequency count or bandwidth (its start
-frequency may differ); and a checkpoint trained on another scene. It covers corrupt inputs too: an echo
+inputs made for another scene: an ``eval --echoes`` container whose sweep,
+array, standoff, cell size or grid differs from the config, that was made
+with another seed, whose echo count differs from the test split, or whose
+header names another split (a container that names none is taken as the
+test split); an ``infer`` container of another array, frequency count,
+bandwidth, standoff, cell size or grid (its start frequency may differ);
+and a checkpoint trained on another scene. A container that records no
+standoff, cell size or grid (one written before containers recorded them)
+is taken as made with the config's. It covers corrupt inputs too: an echo
 container whose header values make no scene, a checkpoint of an unknown
 kind, and a checkpoint whose ``[config]`` section is not a valid config. An
 echo container or a checkpoint written before the shared array layout of
@@ -23,11 +26,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 from . import io as rio
-from .config import ExperimentConfig, apply_fast_profile, load_config
+from .config import SCENE_FIELDS, ExperimentConfig, apply_fast_profile, load_config
 from .errors import ConfigError, DivergedError, FormatError
 from .fista import FistaConfig, fista_solve
 from .harness import (
@@ -90,17 +94,15 @@ def _setup(args) -> tuple[ExperimentConfig, Path]:
 
 
 def _load_container(cfg: ExperimentConfig, path):
-    """An echo container's echoes, the operator of the sweep and array they
-    were made with, and its header; the antenna spacing stays that of the
-    configured frequency. Header values that make no scene raise FormatError."""
+    """An echo container's echoes, the operator of the scene they were made
+    with, and its header. The operator takes every scene field the header
+    records and the config's value of each one it does not; the antenna
+    spacing stays that of the configured frequency. Header values that make
+    no scene raise FormatError."""
     echoes, meta = rio.load_echoes(path)
+    recorded = {field: meta[field] for field in SCENE_FIELDS if field in meta and field != "f0_hz"}
     try:
-        scene = dataclasses.replace(
-            cfg,
-            n_antennas=meta["n_antennas"],
-            bandwidth_hz=meta["bandwidth_hz"],
-            n_freqs=meta["n_freqs"],
-        )
+        scene = dataclasses.replace(cfg, **recorded)
         return echoes, build_operator(scene, f0_hz=meta["f0_hz"]), meta
     except (ConfigError, ValueError) as exc:
         raise FormatError(f"echo container {path} makes no scene: {exc}") from exc
@@ -138,6 +140,9 @@ def cmd_synth(args) -> int:
         snr_db=args.snr_db,
         seed=cfg.seed,
         split=args.split,
+        side_cells=cfg.side_cells,
+        cell_size_m=cfg.cell_size_m,
+        standoff_m=cfg.standoff_m,
     )
     print(f"wrote {len(echoes)} echoes to {path}")
     return 0
@@ -157,7 +162,7 @@ def cmd_fista(args) -> int:
                 ["iteration", "objective"],
                 list(enumerate(trace)),
             )
-    side = cfg.side_cells
+    side = math.isqrt(op.n_cells)  # the container's grid
     for i, est in enumerate(result.estimate):
         rio.write_pgm(out / f"fista_{i:05d}.pgm", est.reshape(side, side))
     print(f"reconstructed {len(echoes)} echoes into {out}")

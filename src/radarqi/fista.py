@@ -337,14 +337,23 @@ def _solver_iterates(op: ImagingOperator, echoes: np.ndarray, n_iters: int, step
         yield x, x_prev
 
 
-def _fista_loop(a, op: ImagingOperator | None, echoes: np.ndarray, cfg: FistaConfig):
-    """Solve the (n, m) echoes with the fixed step 1 / lmax and the
-    soft threshold lam / lmax, on ``op`` or, if None, an operator built from
-    ``a``; with ``cfg.rel_tol`` it stops once every echo's relative change
-    is below it. Returns the (n, P) estimates, the iterations run (0 for no
-    echoes), and, if ``cfg.record_objective``, the (n, iterations + 1)
-    objective of each echo at each iterate, else None.
+def fista_solve(a, s: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None = None) -> SolverResult:
+    """Reconstruct real reflectivity from one complex echo (m,) or a batch (n, m)
+    with the fixed step 1 / lmax and the soft threshold lam / lmax, on ``op``
+    or, if None, an operator built from ``a``.
+
+    The estimate is (P,) or (n, P), and the objective trace, when recorded,
+    (T,) or (n, T) with T = iterations_run + 1. With ``cfg.rel_tol`` a batch
+    stops once every echo's relative change is below it. A (0, m) batch
+    gives (0, P) estimates after 0 iterations.
+
+    Raises
+    ------
+    DivergedError
+        If an iterate stops being finite; the message names the iteration.
     """
+    s = np.asarray(s)
+    echoes = np.atleast_2d(s)
     if op is None:
         op = ImagingOperator(a)
     step = 1.0 / op.lmax
@@ -367,29 +376,12 @@ def _fista_loop(a, op: ImagingOperator | None, echoes: np.ndarray, cfg: FistaCon
                 denom = np.maximum(np.linalg.norm(x_prev, axis=1), 1e-300)
                 if np.all(change / denom < cfg.rel_tol):
                     break
-    return x, iterations, None if trace is None else np.stack(trace, axis=1)
-
-
-def fista_solve(a, s: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None = None) -> SolverResult:
-    """Reconstruct real reflectivity from one complex echo (m,) or a batch (n, m).
-
-    The estimate is (P,) or (n, P), and the objective trace, when recorded,
-    (T,) or (n, T) with T = iterations_run + 1. A batch stops when every
-    echo meets ``cfg.rel_tol``.
-
-    Raises
-    ------
-    DivergedError
-        If an iterate stops being finite; the message names the iteration.
-    """
-    s = np.asarray(s)
-    x, iterations, trace = _fista_loop(a, op, np.atleast_2d(s), cfg)
+    trace = None if trace is None else np.stack(trace, axis=1)
     if s.ndim == 1:
         x, trace = x[0], None if trace is None else trace[0]
     return SolverResult(estimate=x, iterations_run=iterations, objective_trace=trace)
 
 
 def fista_solve_many(a, echoes: np.ndarray, cfg: FistaConfig, op: ImagingOperator | None = None) -> np.ndarray:
-    """Batched solve: (n, m) echoes -> (n, P) estimates. Raises DivergedError
-    like :func:`fista_solve`."""
-    return _fista_loop(a, op, np.asarray(echoes), cfg)[0]
+    """:func:`fista_solve`'s (n, P) estimates of (n, m) echoes."""
+    return fista_solve(a, np.atleast_2d(echoes), cfg, op).estimate

@@ -149,10 +149,14 @@ def save_echoes(
     seed: int,
     *,
     split: str | None = None,
+    side_cells: int | None = None,
+    cell_size_m: float | None = None,
+    standoff_m: float | None = None,
 ) -> None:
     """Write (count, length) complex echoes with their synthesis metadata;
     ``split`` names the dataset split the echoes were made from, and a
-    container of echoes from no split records none."""
+    container of echoes from no split records none. The grid and standoff
+    of the scene are recorded where given."""
     header = [
         f"f0_hz = {fmt_float(f0_hz)}",
         f"bandwidth_hz = {fmt_float(bandwidth_hz)}",
@@ -161,16 +165,19 @@ def save_echoes(
         f"snr_db = {'none' if snr_db is None else fmt_float(snr_db)}",
         f"seed = {seed}",
     ]
-    if split is not None:
-        header.append(f"split = {split}")
+    optional = {
+        "split": split, "side_cells": side_cells, "cell_size_m": cell_size_m, "standoff_m": standoff_m
+    }
+    header += [f"{key} = {format_cell(value)}" for key, value in optional.items() if value is not None]
     arrays = {"echoes": np.atleast_2d(np.asarray(echoes, dtype=np.complex128))}
     write_container(path, ECHO_MAGIC, ECHO_VERSION, header, arrays, "<c16")
 
 
 def load_echoes(path) -> tuple[np.ndarray, dict]:
     """Read an echo container; returns (echoes, header-metadata dict), the
-    dict with ``count`` and ``length`` from the echoes' shape. ``split`` is
-    a string when the header records one and absent when it does not."""
+    dict with ``count`` and ``length`` from the echoes' shape. ``split``,
+    ``side_cells``, ``cell_size_m`` and ``standoff_m`` are each parsed when
+    the header records them and absent when it does not."""
     lines, arrays = read_container(path, ECHO_MAGIC, ECHO_VERSION, "echo container", "<c16")
     shapes = {name: arr.shape for name, arr in arrays.items()}
     if list(shapes) != ["echoes"] or len(shapes["echoes"]) != 2:
@@ -184,6 +191,9 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
         meta["n_antennas"] = int(meta["n_antennas"])
         meta["snr_db"] = None if meta["snr_db"] == "none" else float(meta["snr_db"])
         meta["seed"] = int(meta["seed"])
+        for key, parse in (("side_cells", int), ("cell_size_m", float), ("standoff_m", float)):
+            if key in meta:
+                meta[key] = parse(meta[key])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad echo container header ({exc})") from exc
     meta["count"], meta["length"] = echoes.shape

@@ -22,10 +22,13 @@ activations stay in cache, and the blocks one tile frees are the sizes the
 next one asks for, which malloc hands back instead of new pages. A tile
 holds as many images as keep one activation of the head's widest layer
 within ``HEAD_TILE_BYTES`` (7 images of 14 channels at 28x28 in float64),
-and this is the one bound on the head's workspace.
+and this is the one bound on the head's workspace. The tile is the only
+place a batch is split: the unrolled blocks run on the whole batch, and
+each tile's output goes into its rows of one (n, P) array.
 ``forward_cached`` keeps one cache per tile in ``cache["head"]``;
 ``backward`` runs each tile back in turn, sums the kernel and bias
-gradients over the tiles and joins the tiles' input gradients.
+gradients over the tiles and writes each tile's input gradient into its
+rows of one (n, P) array.
 
 Within a tile the head runs on bordered images, as :mod:`~radarqi.nn_ops`
 describes: the coarse maps are bordered once into (n, side+2, side+2, 1)
@@ -64,7 +67,8 @@ from .nn_ops import (
 )
 
 # Bytes of one activation of the head's widest layer in a tile of images: 7
-# images of 14 channels at 28x28 in float64. See the module docstring.
+# images of 14 channels at 28x28 in float64. The head's tile is the only
+# place a batch is split; see the module docstring.
 HEAD_TILE_BYTES = 3 << 18
 
 
@@ -77,6 +81,11 @@ def bordered(maps: np.ndarray, side: int) -> np.ndarray:
     return planes.transpose(1, 2, 3, 0)
 
 
+def crop_into(rows: np.ndarray, images: np.ndarray, side: int) -> None:
+    """Write the interiors of bordered images into contiguous (n, side**2) rows."""
+    rows.reshape(-1, side, side)[...] = images[:, 1:-1, 1:-1, 0]
+
+
 def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
@@ -87,8 +96,8 @@ class LFistaResNet:
     Parameters
     ----------
     op : ImagingOperator
-        Default physics operator (a different one may be passed per forward
-        call, e.g. for center-frequency generalization runs).
+        Fixes the cell count and the learned blocks' initial step; the
+        model keeps no operator, and each forward call takes its own.
     cfg : ExperimentConfig
         Supplies the shape and the initial thresholds: ``n_blocks``
         unrolled blocks, a head of ``res_blocks`` residual blocks with
@@ -107,7 +116,6 @@ class LFistaResNet:
         side = cfg.side_cells
         if side * side != op.n_cells:
             raise ValueError(f"side {side} does not square to {op.n_cells} cells")
-        self.op = op
         self.n_blocks = cfg.n_blocks
         self.n_res_blocks = cfg.res_blocks
         self.side = side
@@ -159,10 +167,9 @@ class LFistaResNet:
                 blocks.append((r.copy(), x > 0))
         return x, blocks
 
-    def lfista_stage(self, echoes: np.ndarray, op: ImagingOperator | None = None):
+    def lfista_stage(self, echoes: np.ndarray, op: ImagingOperator):
         """Coarse reconstruction from the unrolled blocks alone, (n, P)."""
-        echoes = np.atleast_2d(np.asarray(echoes))
-        coarse, _ = self._unrolled(echoes, op or self.op, collect=False)
+        coarse, _ = self._unrolled(np.atleast_2d(np.asarray(echoes)), op, collect=False)
         return coarse
 
     def tile_images(self, dtype) -> int:
@@ -176,20 +183,20 @@ class LFistaResNet:
         """The head's (n, P) output, run depth-first over tiles of images,
         and if ``collect`` one cache per tile."""
         tile = self.tile_images(np.result_type(coarse, self.params["head_kernel"]))
-        parts, caches = [], [] if collect else None
+        out = np.empty(coarse.shape, np.result_type(coarse, *self.params.values()))
+        caches = [] if collect else None
         for start in range(0, len(coarse), tile):
-            out, cache = self._head_tile(coarse[start : start + tile], collect)
-            parts.append(out)
+            images, cache = self._head_tile(coarse[start : start + tile], collect)
+            crop_into(out[start : start + tile], images, self.side)
             if collect:
                 caches.append(cache)
-        return np.concatenate(parts) if parts else np.empty_like(coarse), caches
+        return out, caches
 
     def _head_tile(self, coarse: np.ndarray, collect: bool):
-        """The head's output on one tile. Every ReLU and residual sum runs in
-        place on the conv output it consumes; the backward needs only their
-        masks."""
+        """The head's bordered output images on one tile. Every ReLU and
+        residual sum runs in place on the conv output it consumes; the
+        backward needs only their masks."""
         p = self.params
-        n = coarse.shape[0]
         z0, c_head = conv2d_3x3_cached(bordered(coarse, self.side), p["head_kernel"], p["head_bias"])
         caches = {"head": (c_head, z0 > 0)} if collect else None
         h = relu(z0, out=z0)
@@ -205,19 +212,15 @@ class LFistaResNet:
         out, c_tail = conv2d_3x3_cached(h, p["tail_kernel"], p["tail_bias"])
         if collect:
             caches["tail"] = c_tail
-        return out[:, 1:-1, 1:-1, 0].reshape(n, self.side * self.side), caches
+        return out, caches
 
-    def forward(self, echoes: np.ndarray, op: ImagingOperator | None = None) -> np.ndarray:
+    def forward(self, echoes: np.ndarray, op: ImagingOperator) -> np.ndarray:
         """Full reconstruction, echoes (n, m) or (m,) -> maps (n, P) or (P,)."""
-        single = np.asarray(echoes).ndim == 1
-        echoes = np.atleast_2d(np.asarray(echoes))
-        coarse, _ = self._unrolled(echoes, op or self.op, collect=False)
-        out, _ = self._head(coarse, collect=False)
-        return out[0] if single else out
+        out, _ = self._head(self.lfista_stage(echoes, op), collect=False)
+        return out[0] if np.ndim(echoes) == 1 else out
 
-    def forward_cached(self, echoes: np.ndarray, op: ImagingOperator | None = None):
+    def forward_cached(self, echoes: np.ndarray, op: ImagingOperator):
         echoes = np.atleast_2d(np.asarray(echoes))
-        op = op or self.op
         coarse, block_caches = self._unrolled(echoes, op, collect=not self.frozen_blocks)
         out, head_caches = self._head(coarse, collect=True)
         cache = {"op": op, "blocks": block_caches, "head": head_caches}
@@ -236,13 +239,14 @@ class LFistaResNet:
         and never runs back through the unrolled blocks.
         """
         grads = {}
-        d_tiles = []
+        d_coarse = None if self.frozen_blocks else np.empty_like(dout)
         start = 0
         for caches in cache["head"]:
-            count = len(caches["tail"][0])
-            tile_grads, d_tile = self._head_tile_backward(caches, dout[start : start + count])
-            start += count
-            d_tiles.append(d_tile)
+            stop = start + len(caches["tail"][0])
+            tile_grads, d_images = self._head_tile_backward(caches, dout[start:stop])
+            if d_coarse is not None:
+                crop_into(d_coarse[start:stop], d_images, self.side)
+            start = stop
             for name, g in tile_grads.items():
                 if name in grads:
                     grads[name] += g
@@ -250,7 +254,6 @@ class LFistaResNet:
                     grads[name] = g
         if self.frozen_blocks:
             return grads
-        d_coarse = np.concatenate(d_tiles)
 
         op = cache["op"]
         mu, _ = self.block_scalars(op)
@@ -274,7 +277,7 @@ class LFistaResNet:
 
     def _head_tile_backward(self, caches, dout: np.ndarray):
         """The head's parameter gradients on one tile and the gradient of its
-        input maps (None with frozen blocks, which need none)."""
+        bordered input images (None with frozen blocks, which need none)."""
         grads = {}
         d = bordered(dout, self.side)
         d, grads["tail_kernel"], grads["tail_bias"] = conv2d_3x3_backward(
@@ -297,9 +300,7 @@ class LFistaResNet:
         d_img, grads["head_kernel"], grads["head_bias"] = conv2d_3x3_backward(
             c_head, d, input_grad=not self.frozen_blocks
         )
-        if d_img is None:
-            return grads, None
-        return grads, d_img[:, 1:-1, 1:-1, 0].reshape(len(dout), self.side * self.side)
+        return grads, d_img
 
 
 class EchoDnn:
@@ -350,19 +351,12 @@ class EchoDnn:
         return grads
 
 
-def predict_maps(model, echoes: np.ndarray, op: ImagingOperator | None = None, chunk: int = 64) -> np.ndarray:
-    """Forward a large echo batch in chunks of ``chunk`` echoes.
-
-    ``chunk`` bounds only the memory of the unrolled stage: the head runs
-    each chunk in its own tiles (see ``HEAD_TILE_BYTES``) whatever the chunk
-    size. A (0, m) batch gives (0, P) maps. Raises DivergedError naming the
-    first echo whose map is not finite."""
-    echoes = np.atleast_2d(np.asarray(echoes))
-    parts = [
-        model.forward(echoes[start : start + chunk], op)
-        for start in range(0, max(len(echoes), 1), chunk)
-    ]
-    maps = np.concatenate(parts, axis=0)
+def predict_maps(model, echoes: np.ndarray, op: ImagingOperator) -> np.ndarray:
+    """The (n, P) maps of (n, m) echoes from one ``model.forward`` on the
+    whole batch; the head's tiles (see ``HEAD_TILE_BYTES``) are the only
+    place the batch is split. A (0, m) batch gives (0, P) maps. Raises
+    DivergedError naming the first echo whose map is not finite."""
+    maps = model.forward(np.atleast_2d(np.asarray(echoes)), op)
     bad = np.flatnonzero(~np.isfinite(maps).all(axis=1))
     if bad.size:
         raise DivergedError(f"non-finite map from echo {bad[0]}")

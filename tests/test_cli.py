@@ -114,6 +114,17 @@ def test_unknown_config_key_exits_2(two_runs):
     assert "antenna_count" in proc.stderr
 
 
+def test_mnist_dir_without_the_training_images_exits_3(two_runs, tmp_path):
+    workdir, config, _ = two_runs
+    proc = run_cli(
+        ["synth", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+         "--mnist-dir", str(tmp_path)],
+        workdir,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"no MNIST training-image IDX file found under {tmp_path}" in proc.stderr
+
+
 def test_missing_checkpoint_exits_2(two_runs):
     workdir, config, _ = two_runs
     empty = workdir / "no_checkpoints"
@@ -390,6 +401,38 @@ def test_infer_on_a_container_of_another_scene_exits_3(two_runs, tmp_path, chang
     assert proc.returncode == 3, proc.stderr
     assert f"echo container {path} was made with {field}=" in proc.stderr
     assert not list(out.glob("*.pgm"))
+
+
+@pytest.mark.parametrize(
+    "line", ["standoff_m = 1.5", "cell_size_m = 0.02", "side_cells = 6"],
+    ids=["standoff", "cell_size", "grid"],
+)
+def test_container_synthesized_for_another_scene(two_runs, tmp_path, line):
+    """synth records the grid and the standoff: infer and eval --echoes
+    reject such a container, and fista reconstructs it on its own grid."""
+    workdir, config, (run1, _) = two_runs
+    field, value = line.split(" = ")
+    kept = [row for row in SMALL_CONFIG.splitlines() if not row.startswith(f"{field} =")]
+    other = write_config(tmp_path / "other.cfg", "\n".join(kept + [line, ""]))
+    cli_ok(["synth", "--config", str(other), "--out-dir", str(tmp_path)], workdir)
+    echoes = str(tmp_path / "echoes_test.bin")
+    for command, inputs in [
+        ("infer", ["--checkpoint", str(run1 / "checkpoint_lfista_resnet.ckpt")]),
+        ("eval", ["--checkpoint-dir", str(run1)]),
+    ]:
+        out = tmp_path / command
+        proc = run_cli(
+            [command, "--config", str(config), "--out-dir", str(out), "--echoes", echoes, *inputs],
+            workdir,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"echo container {echoes} was made with {field}={value}," in proc.stderr
+        assert not list(out.glob("*"))
+    out = tmp_path / "fista"
+    cli_ok(["fista", "--config", str(config), "--out-dir", str(out), "--echoes", echoes,
+            "--max-iter", "5"], workdir)
+    side = config_from_text(other.read_text()).side_cells
+    assert (out / "fista_00000.pgm").read_bytes().startswith(f"P5\n{side} {side}\n".encode())
 
 
 def test_infer_reads_a_container_of_another_start_frequency(two_runs, tmp_path):

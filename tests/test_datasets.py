@@ -1,3 +1,5 @@
+import gzip
+import re
 import struct
 
 import numpy as np
@@ -8,6 +10,7 @@ from radarqi.datasets import (
     _DIGIT_GLYPHS,
     IDX_IMAGE_MAGIC,
     _glyph_array,
+    load_digit_rasters,
     read_idx_images,
     shape_rasters,
     split_dataset,
@@ -68,11 +71,39 @@ class TestIdxFormat:
         path.write_bytes(path.read_bytes() + b"\1" * 50)
         np.testing.assert_array_equal(read_idx_images(path), images)
 
+    def test_negative_count(self, tmp_path):
+        path = tmp_path / "negative.bin"
+        path.write_bytes(struct.pack(">iiii", IDX_IMAGE_MAGIC, -1, 28, 28))
+        with pytest.raises(FormatError, match="negative image count -1 at byte offset 4"):
+            read_idx_images(path)
+
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "odd.bin"
         path.write_bytes(struct.pack(">iiii", 0x00000803, 1, 14, 14) + b"\0" * 196)
         with pytest.raises(FormatError, match="dimension"):
             read_idx_images(path)
+
+
+class TestMnistDir:
+    """``--mnist-dir`` reads the training-image IDX file, plain or gzipped,
+    under either of its two usual names."""
+
+    @pytest.mark.parametrize(
+        "name", ["train-images-idx3-ubyte", "train-images.idx3-ubyte.gz"], ids=["plain", "gzip"]
+    )
+    def test_reads_the_training_images(self, tmp_path, name):
+        images = np.random.default_rng(3).integers(0, 256, size=(5, 28, 28)).astype(np.uint8)
+        plain = tmp_path / "plain.idx"
+        write_idx_images(plain, images)
+        data = plain.read_bytes()
+        (tmp_path / name).write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        np.testing.assert_array_equal(load_digit_rasters(tmp_path, 100, 0), images)
+
+    def test_a_directory_without_the_file_is_a_format_error(self, tmp_path):
+        write_idx_images(tmp_path / "t10k-images-idx3-ubyte", np.zeros((1, 28, 28)))
+        message = f"no MNIST training-image IDX file found under {tmp_path}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_digit_rasters(tmp_path, 10, 0)
 
 
 class TestSplit:

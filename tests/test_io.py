@@ -41,13 +41,22 @@ class TestEchoContainer:
         np.testing.assert_array_equal(loaded, echoes)
         assert (meta["count"], meta["length"], meta["n_freqs"], meta["n_antennas"]) == (4, 6, 3, 2)
         assert meta["f0_hz"] == 30e9 and meta["snr_db"] is None and meta["seed"] == 3
-        assert "split" not in meta
+        assert not {"split", "side_cells", "cell_size_m", "standoff_m"} & set(meta)
 
     def test_split_round_trips(self, tmp_path):
         path = tmp_path / "echoes.bin"
         echoes = np.ones((2, 6), dtype=np.complex128)
         save_echoes(path, echoes, 30e9, 5e9, 3, 2, None, 3, split="val")
         assert load_echoes(path)[1]["split"] == "val"
+
+    def test_scene_fields_round_trip(self, tmp_path):
+        path = tmp_path / "echoes.bin"
+        echoes = np.ones((2, 6), dtype=np.complex128)
+        scene = {"side_cells": 28, "cell_size_m": 0.01, "standoff_m": 1.5}
+        save_echoes(path, echoes, 30e9, 5e9, 3, 2, None, 3, **scene)
+        _, meta = load_echoes(path)
+        assert {key: meta[key] for key in scene} == scene
+        assert type(meta["side_cells"]) is int and "split" not in meta
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "echoes.bin"

@@ -22,10 +22,12 @@ def small_op(seed=0, m=10, p=16):
 
 
 def small_model(seed=0, frozen=False, n_blocks=3, channels=2, res_blocks=1):
+    """A 4 x 4 network and the operator its forward calls take."""
     cfg = ExperimentConfig(
         side_cells=4, n_blocks=n_blocks, res_channels=channels, res_blocks=res_blocks
     )
-    return LFistaResNet(small_op(seed), cfg, frozen, seed)
+    op = small_op(seed)
+    return LFistaResNet(op, cfg, frozen, seed), op
 
 
 def relu_fista_oracle(matrix, s, mu, theta, n_iters):
@@ -64,6 +66,10 @@ class TestParameterBudgets:
         # 400*10 + 10 + 10*784 + 784
         assert n_params(model) == 400 * 10 + 10 + 10 * 784 + 784
 
+    def test_side_must_square_to_the_cell_count(self):
+        with pytest.raises(ValueError, match="side 5 does not square to 16 cells"):
+            LFistaResNet(small_op(), ExperimentConfig(side_cells=5), False, 0)
+
     def test_head_parameter_count(self, table1_op):
         model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
         head = sum(
@@ -74,10 +80,10 @@ class TestParameterBudgets:
 
 class TestUnrolledForward:
     def test_zero_echo_zero_output(self):
-        model = small_model()
-        out = model.forward(np.zeros(10, dtype=complex))
+        model, op = small_model()
+        out = model.forward(np.zeros(10, dtype=complex), op)
         np.testing.assert_array_equal(
-            model.lfista_stage(np.zeros(10, dtype=complex))[0], 0.0
+            model.lfista_stage(np.zeros(10, dtype=complex), op)[0], 0.0
         )
         assert np.all(np.isfinite(out))
 
@@ -89,7 +95,7 @@ class TestUnrolledForward:
         model.params["block_mu_raw"][:] = softplus_inv(1.0)
         model.params["block_theta_raw"][:] = softplus_inv(1e-300)
         s = np.array([0.5, 0.0, 1.2, 0.3])
-        np.testing.assert_allclose(model.lfista_stage(s)[0], s, atol=1e-12)
+        np.testing.assert_allclose(model.lfista_stage(s, op4)[0], s, atol=1e-12)
 
     def test_twenty_blocks_match_relu_fista_oracle(self, table1_scene, table1_op):
         _, grid, _, _, matrix = table1_scene
@@ -101,7 +107,7 @@ class TestUnrolledForward:
         s = synthesize_echoes(matrix, eps[None])[0]
         mu = 1.0 / table1_op.lmax
         want = relu_fista_oracle(matrix, s, mu, 0.01 * mu, 20)
-        got = model.lfista_stage(s)[0]
+        got = model.lfista_stage(s, table1_op)[0]
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_frozen_stage_is_the_fista_iteration(self, table1_scene, table1_op):
@@ -116,25 +122,25 @@ class TestUnrolledForward:
         mu = np.full(cfg.n_blocks, 1.0 / table1_op.lmax)
         for x, _, _ in fista_iterates(table1_op, echoes, mu, cfg.frozen_lambda * mu, nonneg_shrink):
             pass
-        np.testing.assert_array_equal(model.lfista_stage(echoes), x)
+        np.testing.assert_array_equal(model.lfista_stage(echoes, table1_op), x)
 
     def test_forward_deterministic(self):
-        model = small_model(seed=3)
+        model, op = small_model(seed=3)
         rng = np.random.default_rng(1)
         echoes = rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))
-        np.testing.assert_array_equal(model.forward(echoes), model.forward(echoes))
+        np.testing.assert_array_equal(model.forward(echoes, op), model.forward(echoes, op))
 
 
 class TestRefinementHead:
     def test_zero_input_zero_biases_zero_output(self):
-        model = small_model(seed=1)
+        model, _ = small_model(seed=1)
         out = model._head(np.zeros((2, 16)), collect=False)[0]
         np.testing.assert_array_equal(out, 0.0)
 
     def test_zeroed_res_kernels_reduce_to_skip(self):
         # with zero res-block kernels/biases the block is ReLU of its input,
         # so the head collapses to tail(conv(head)) on a nonnegative path
-        model = small_model(seed=2, channels=3)
+        model, _ = small_model(seed=2, channels=3)
         for name in list(model.params):
             if name.startswith("res"):
                 model.params[name][:] = 0.0
@@ -167,11 +173,11 @@ class TestRefinementHead:
 
 class TestModelForward:
     def test_composition_equals_stages(self):
-        model = small_model(seed=5)
+        model, op = small_model(seed=5)
         rng = np.random.default_rng(5)
         echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
         np.testing.assert_array_equal(
-            model.forward(echoes), model._head(model.lfista_stage(echoes), collect=False)[0]
+            model.forward(echoes, op), model._head(model.lfista_stage(echoes, op), collect=False)[0]
         )
 
     def test_untrained_point_target_is_finite(self, table1_scene, table1_op):
@@ -180,7 +186,7 @@ class TestModelForward:
         eps[100] = 1.0
         s = synthesize_echoes(matrix, eps[None])[0]
         model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
-        out = model.forward(s)
+        out = model.forward(s, table1_op)
         assert out.shape == (784,)
         assert np.all(np.isfinite(out))
 
@@ -193,9 +199,9 @@ class TestModelForward:
         echoes = synthesize_echoes(matrix, maps)
         for frozen in (False, True):
             model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
-            batched = model.forward(echoes)
+            batched = model.forward(echoes, table1_op)
             for echo, row in zip(echoes, batched):
-                assert np.max(np.abs(model.forward(echo) - row)) <= 1e-12 * np.max(np.abs(row))
+                assert np.max(np.abs(model.forward(echo, table1_op) - row)) <= 1e-12 * np.max(np.abs(row))
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_forward_equals_the_cached_forward(self, table1_scene, table1_op, frozen):
@@ -204,16 +210,18 @@ class TestModelForward:
         maps = rng.uniform(0, 1, (23, len(grid))) * (rng.uniform(size=(23, len(grid))) < 0.1)
         echoes = synthesize_echoes(matrix, maps)
         model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
-        np.testing.assert_array_equal(model.forward(echoes), model.forward_cached(echoes)[0])
+        np.testing.assert_array_equal(
+            model.forward(echoes, table1_op), model.forward_cached(echoes, table1_op)[0]
+        )
 
-    def test_predict_maps_chunking(self):
-        # chunked evaluation may reorder BLAS sums; only last-bit differences
-        model = small_model(seed=6)
+    @pytest.mark.parametrize("kind", ["lfista_resnet", "fista_resnet", "dnn"])
+    def test_predict_maps_is_one_forward(self, kind):
+        model, op = small_model(seed=6, frozen=kind == "fista_resnet")
+        if kind == "dnn":
+            model = EchoDnn(10, 16, 6)
         rng = np.random.default_rng(6)
         echoes = rng.normal(size=(7, 10)) + 1j * rng.normal(size=(7, 10))
-        np.testing.assert_allclose(
-            predict_maps(model, echoes, chunk=3), model.forward(echoes), atol=1e-12
-        )
+        np.testing.assert_array_equal(predict_maps(model, echoes, op), model.forward(echoes, op))
 
     @pytest.mark.parametrize("kind", ["lfista_resnet", "fista_resnet", "dnn"])
     def test_an_empty_batch_gives_no_maps(self, table1_scene, table1_op, kind):
@@ -262,7 +270,7 @@ class TestBorderedHead:
 
         monkeypatch.setattr(models, "conv2d_3x3_cached", forward_recording)
         monkeypatch.setattr(models, "conv2d_3x3_backward", backward_recording)
-        _, cache = model.forward_cached(echoes)
+        _, cache = model.forward_cached(echoes, table1_op)
         model.backward(cache, rng.normal(size=(n, 784)))
         assert len(cache["head"]) == 2
         assert outputs == [True] * 12 and upstream == [True] * 24
@@ -303,7 +311,7 @@ class TestHeadTiles:
     @pytest.mark.parametrize("frozen", [False, True])
     def test_head_rows_equal_the_batch_one_rows(self, table1_op, echoes, frozen):
         model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
-        coarse = model.lfista_stage(echoes)
+        coarse = model.lfista_stage(echoes, table1_op)
         out, caches = model._head(coarse, collect=True)
         assert [len(tile["tail"][0]) for tile in caches] == [7, 7, 3]
         for i, row in enumerate(out):
@@ -313,11 +321,11 @@ class TestHeadTiles:
     def test_gradients_sum_the_single_image_gradients(self, table1_op, echoes, frozen):
         model = LFistaResNet(table1_op, ExperimentConfig(), frozen, 0)
         upstream = np.random.default_rng(22).normal(size=(len(echoes), 784))
-        _, cache = model.forward_cached(echoes)
+        _, cache = model.forward_cached(echoes, table1_op)
         grads = model.backward(cache, upstream)
         singles = []
         for echo, row in zip(echoes, upstream):
-            _, one = model.forward_cached(echo)
+            _, one = model.forward_cached(echo, table1_op)
             singles.append(model.backward(one, row[None]))
         assert set(grads) == set(model.params)
         for name, g in grads.items():
@@ -326,18 +334,18 @@ class TestHeadTiles:
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_finite_difference_across_a_tile_boundary(self, monkeypatch, frozen):
-        model = small_model(seed=23, frozen=frozen, res_blocks=2)
+        model, op = small_model(seed=23, frozen=frozen, res_blocks=2)
         image = 2 * 6 * 6 * 8  # 2 channels of 4x4, bordered, in float64
         monkeypatch.setattr(models, "HEAD_TILE_BYTES", 2 * image)
         rng = np.random.default_rng(23)
         echoes = rng.normal(size=(5, 10)) + 1j * rng.normal(size=(5, 10))
         weights = rng.normal(size=(5, 16))
-        _, cache = model.forward_cached(echoes)
+        _, cache = model.forward_cached(echoes, op)
         assert len(cache["head"]) == 3  # 2 + 2 + 1 images
         grads = model.backward(cache, weights)
         for name in model.params:
             fd = finite_difference_grad(
-                lambda _arr: float(np.sum(model.forward(echoes) * weights)), model.params[name]
+                lambda _arr: float(np.sum(model.forward(echoes, op) * weights)), model.params[name]
             )
             err = relative_grad_error(grads[name], fd)
             assert err < 1e-4, f"{name}: {err}"
@@ -372,31 +380,27 @@ class TestEchoDnn:
 
 
 class TestBackward:
-    def _weighted_sum_loss(self, model, echoes, weights, op=None):
-        out, cache = model.forward_cached(echoes, op)
-        return float(np.sum(out * weights)), cache
-
     def test_zero_upstream_zero_grads(self):
-        model = small_model(seed=8)
+        model, op = small_model(seed=8)
         rng = np.random.default_rng(8)
         echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
-        _, cache = model.forward_cached(echoes)
+        _, cache = model.forward_cached(echoes, op)
         grads = model.backward(cache, np.zeros((2, 16)))
         for name, g in grads.items():
             assert np.all(g == 0.0), name
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_finite_difference_every_group_lfista(self, frozen):
-        model = small_model(seed=9, frozen=frozen)
+        model, op = small_model(seed=9, frozen=frozen)
         rng = np.random.default_rng(9)
         echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
         weights = rng.normal(size=(2, 16))
-        _, cache = model.forward_cached(echoes)
+        _, cache = model.forward_cached(echoes, op)
         grads = model.backward(cache, weights)
         assert set(grads) == set(model.params)
         for name in model.params:
             def loss(_arr, name=name):
-                out = model.forward(echoes)
+                out = model.forward(echoes, op)
                 return float(np.sum(out * weights))
 
             fd = finite_difference_grad(loss, model.params[name])
@@ -421,50 +425,50 @@ class TestBackward:
     def test_theta_gradient_sign_on_final_block(self):
         # with an all-ones upstream gradient, raising the last threshold can
         # only remove activation mass, so its gradient is nonpositive
-        model = small_model(seed=11, n_blocks=1)
+        model, op = small_model(seed=11, n_blocks=1)
         rng = np.random.default_rng(11)
         echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
-        _, cache = model.forward_cached(echoes)
+        _, cache = model.forward_cached(echoes, op)
         grads = model.backward(cache, np.ones((2, 16)))
         assert grads["block_theta_raw"][0] <= 0.0
 
 
 class TestFrozenBlocks:
     def test_scalars_follow_operator(self):
-        model = small_model(seed=12, frozen=True)
+        model, op = small_model(seed=12, frozen=True)
         op2 = small_op(seed=99)
-        mu1, th1 = model.block_scalars(model.op)
+        mu1, th1 = model.block_scalars(op)
         mu2, th2 = model.block_scalars(op2)
-        assert mu1[0] == pytest.approx(1.0 / model.op.lmax)
+        assert mu1[0] == pytest.approx(1.0 / op.lmax)
         assert mu2[0] == pytest.approx(1.0 / op2.lmax)
         assert mu1[0] != mu2[0]
         np.testing.assert_allclose(th1, model.init_lam * mu1)
 
     def test_learned_scalars_ignore_operator(self):
-        model = small_model(seed=13, frozen=False)
+        model, op = small_model(seed=13, frozen=False)
         op2 = small_op(seed=98)
-        mu1, _ = model.block_scalars(model.op)
+        mu1, _ = model.block_scalars(op)
         mu2, _ = model.block_scalars(op2)
         np.testing.assert_array_equal(mu1, mu2)
 
     def test_frozen_backward_has_no_block_grads(self):
-        model = small_model(seed=14, frozen=True)
+        model, op = small_model(seed=14, frozen=True)
         rng = np.random.default_rng(14)
         echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
-        _, cache = model.forward_cached(echoes)
+        _, cache = model.forward_cached(echoes, op)
         grads = model.backward(cache, rng.normal(size=(2, 16)))
         assert "block_mu_raw" not in grads
         assert "block_theta_raw" not in grads
 
     def test_frozen_backward_stops_at_the_head(self):
-        frozen = small_model(seed=15, frozen=True)
-        full = small_model(seed=15, frozen=False)
+        frozen, op = small_model(seed=15, frozen=True)
+        full, _ = small_model(seed=15, frozen=False)
         full.block_scalars = frozen.block_scalars  # same forward, blocks still run back
         rng = np.random.default_rng(15)
         echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
         upstream = rng.normal(size=(2, 16))
-        out, cache = frozen.forward_cached(echoes)
-        full_out, full_cache = full.forward_cached(echoes)
+        out, cache = frozen.forward_cached(echoes, op)
+        full_out, full_cache = full.forward_cached(echoes, op)
         np.testing.assert_array_equal(out, full_out)
         assert not cache["blocks"]
 
@@ -476,10 +480,10 @@ class TestFrozenBlocks:
             np.testing.assert_array_equal(g, full_grads[name], err_msg=name)
 
     def test_frozen_backward_forms_no_head_input_gradient(self, monkeypatch):
-        model = small_model(seed=17, frozen=True, res_blocks=2)
+        model, op = small_model(seed=17, frozen=True, res_blocks=2)
         rng = np.random.default_rng(17)
         echoes = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
-        _, cache = model.forward_cached(echoes)
+        _, cache = model.forward_cached(echoes, op)
         wanted = []
 
         def recording(conv_cache, dout, input_grad=True):
@@ -494,11 +498,13 @@ class TestFrozenBlocks:
 class TestWorkspace:
     """Peak traced memory of the network at the paper geometry. The head runs
     in tiles of models.HEAD_TILE_BYTES, so its workspace does not grow with
-    the batch. Each bound is the peak measured with OpenBLAS at 1 and 2
-    threads plus about a quarter: 7.9 MB for predict_maps of 64 echoes (a
-    whole-batch head took 41.5), 13.9 MB for a cached forward of 16 and
-    18.2 MB for a training step of 16 (19.1 and 23.9 with a whole-batch
-    head)."""
+    the batch. Every forward runs the unrolled blocks on the whole batch, so
+    what grows with it is their four (n, P) rows, the (n, P) output and, in
+    a cached forward, each learned block's step and mask. Each bound is the
+    peak measured with OpenBLAS at 1 and 2 threads plus about a quarter:
+    7.9 MB for predict_maps of 64 echoes (a whole-batch head took 41.5),
+    13.9 MB for a cached forward of 16 and 18.2 MB for a training step of 16
+    (19.1 and 23.9 with a whole-batch head)."""
 
     @staticmethod
     def peak_mb(fn):
@@ -516,13 +522,13 @@ class TestWorkspace:
         model = LFistaResNet(table1_op, ExperimentConfig(), False, 0)
         return model, synthesize_echoes(matrix, maps), maps
 
-    def test_predict_maps_of_64_echoes(self, model_and_echoes):
+    def test_predict_maps_of_64_echoes(self, model_and_echoes, table1_op):
         model, echoes, _ = model_and_echoes
-        assert self.peak_mb(lambda: predict_maps(model, echoes)) < 10.0
+        assert self.peak_mb(lambda: predict_maps(model, echoes, table1_op)) < 10.0
 
-    def test_cached_forward_of_16_echoes(self, model_and_echoes):
+    def test_cached_forward_of_16_echoes(self, model_and_echoes, table1_op):
         model, echoes, _ = model_and_echoes
-        assert self.peak_mb(lambda: model.forward_cached(echoes[:16])) < 17.5
+        assert self.peak_mb(lambda: model.forward_cached(echoes[:16], table1_op)) < 17.5
 
     def test_training_step_of_16_echoes(self, model_and_echoes, table1_op):
         model, echoes, maps = model_and_echoes
@@ -530,7 +536,7 @@ class TestWorkspace:
         state = AdamState.for_params(model.params, cfg.learning_rate)
 
         def step():
-            out, cache = model.forward_cached(echoes[:16])
+            out, cache = model.forward_cached(echoes[:16], table1_op)
             _, dout = hybrid_loss_batch(
                 maps[:16], out, echoes[:16], table1_op, cfg.loss_lambda1, cfg.loss_lambda2
             )

@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import finite_difference_grad, relative_grad_error
 from radarqi.config import ExperimentConfig
 from radarqi.datasets import synthetic_digit_rasters
-from radarqi.errors import FormatError
+from radarqi import training
+from radarqi.errors import DivergedError, FormatError
 from radarqi.fista import FistaConfig, ImagingOperator, fista_solve_many
 from radarqi.forward import noisy_echoes, synthesize_echoes
 from radarqi.geometry import rasters_to_maps
@@ -308,6 +309,22 @@ class TestFit:
         for name in results[0].params:
             np.testing.assert_array_equal(results[0].params[name], results[1].params[name])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_a_non_finite_training_loss_names_the_epoch_and_batch(self, monkeypatch):
+        cfg, op, data, model = tiny_training_setup()  # 16 echoes: 2 batches per epoch
+        train_calls = []
+
+        def poisoned(truth, *args):
+            loss, grad = hybrid_loss_batch(truth, *args)
+            if truth is not data.val_maps:
+                train_calls.append(truth)
+                if len(train_calls) == 4:
+                    loss = float("nan")
+            return loss, grad
+
+        monkeypatch.setattr(training, "hybrid_loss_batch", poisoned)
+        with pytest.raises(DivergedError, match="^non-finite training loss at epoch 2, batch 1$"):
+            fit(model, op, data, cfg)
 
     def test_mse_only_gradients_end_to_end(self):
         # lambda1 = lambda2 = 0 reduces training to plain MSE regression;
