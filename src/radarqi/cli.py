@@ -181,8 +181,9 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     cfg, out = _setup(args)
     echoes, op, meta = _load_container(cfg, args.echoes)
-    del meta["f0_hz"]  # another start frequency is the frequency-migration test
-    check_scene(cfg, meta, f"echo container {args.echoes}")
+    # another start frequency is the frequency-migration test
+    fields = [field for field in SCENE_FIELDS if field != "f0_hz"]
+    check_scene(cfg, meta, f"echo container {args.echoes}", fields)
     model = load_trained_model(cfg, op, None, args.checkpoint)
     maps = predict_maps(model, echoes, op)
     side = cfg.side_cells
@@ -198,12 +199,7 @@ def cmd_eval(args) -> int:
     test_echoes = bundle.test_echoes
     if args.echoes:
         test_echoes, meta = rio.load_echoes(args.echoes)
-        check_scene(cfg, meta, f"echo container {args.echoes}")
-        if meta["seed"] != cfg.seed:
-            raise FormatError(
-                f"echo container {args.echoes} was made with seed={meta['seed']}, "
-                f"current config has {cfg.seed}"
-            )
+        check_scene(cfg, meta, f"echo container {args.echoes}", (*SCENE_FIELDS, "seed"))
         if len(test_echoes) != len(bundle.test_maps):
             raise FormatError(
                 f"echo container has {len(test_echoes)} echoes but the test "

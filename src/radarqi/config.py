@@ -18,6 +18,23 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+# The values each bounded field allows: the rule a rejection states and its
+# test. NaN passes none of the tests.
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+RANGES = {
+    "side_cells": _AT_LEAST_1, "cell_size_m": _POSITIVE, "standoff_m": ("finite", math.isfinite),
+    "n_antennas": _AT_LEAST_1, "f0_hz": _POSITIVE, "bandwidth_hz": _POSITIVE, "n_freqs": _AT_LEAST_1,
+    "train_size": _AT_LEAST_1, "val_size": _AT_LEAST_1, "test_size": _AT_LEAST_1, "seed": _AT_LEAST_0,
+    "fista_lambda": _NON_NEGATIVE, "fista_max_iter": _AT_LEAST_1, "frozen_lambda": _POSITIVE,
+    "n_blocks": _AT_LEAST_1, "res_channels": _AT_LEAST_1, "res_blocks": _AT_LEAST_0,
+    "batch_size": _AT_LEAST_1, "epochs": _AT_LEAST_0, "learning_rate": _POSITIVE,
+    "plateau_factor": ("in (0, 1]", lambda v: 0 < v <= 1), "plateau_patience": _AT_LEAST_0,
+    "loss_lambda1": _NON_NEGATIVE, "loss_lambda2": _NON_NEGATIVE,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -54,28 +71,10 @@ class ExperimentConfig:
     loss_lambda2: float = 0.05
 
     def __post_init__(self):
-        if self.side_cells < 1 or not 0 < self.cell_size_m < math.inf:
-            raise ConfigError("side_cells must be >= 1 and cell_size_m finite and > 0")
-        if not math.isfinite(self.standoff_m):
-            raise ConfigError("standoff_m must be finite")
-        if self.n_antennas < 1 or self.n_freqs < 1:
-            raise ConfigError("n_antennas and n_freqs must be >= 1")
-        if not (0 < self.f0_hz < math.inf and 0 < self.bandwidth_hz < math.inf):
-            raise ConfigError("f0_hz and bandwidth_hz must be finite and > 0")
-        if min(self.train_size, self.val_size, self.test_size) < 1:
-            raise ConfigError("split sizes must be >= 1")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if min(self.n_blocks, self.res_channels, self.fista_max_iter) < 1:
-            raise ConfigError("n_blocks, res_channels and fista_max_iter must be >= 1")
-        if min(self.res_blocks, self.plateau_patience, self.seed) < 0:
-            raise ConfigError("res_blocks, plateau_patience and seed must be >= 0")
-        if not all(0 <= w < math.inf for w in (self.fista_lambda, self.loss_lambda1, self.loss_lambda2)):
-            raise ConfigError("fista_lambda, loss_lambda1 and loss_lambda2 must be finite and >= 0")
-        if not (0 < self.frozen_lambda < math.inf and 0 < self.learning_rate < math.inf):
-            raise ConfigError("frozen_lambda and learning_rate must be finite and > 0")
-        if not 0 < self.plateau_factor <= 1:
-            raise ConfigError("plateau_factor must lie in (0, 1]")
+        for name, (rule, allowed) in RANGES.items():
+            value = getattr(self, name)
+            if not allowed(value):
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
         # a config file holds one stripped value per line
         if self.mnist_dir != self.mnist_dir.strip() or len(self.mnist_dir.splitlines()) > 1:
             raise ConfigError(
@@ -104,7 +103,9 @@ SCENE_FIELDS = (
 )
 
 
-def _parse_value(name: str, raw: str):
+def parse_value(name: str, raw: str):
+    """``raw`` as the type of config field ``name``; a value that does not
+    parse raises :class:`ConfigError`."""
     ftype = _FIELDS[name].type
     try:
         if ftype == "int":
@@ -131,7 +132,7 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        values[key] = _parse_value(key, raw.strip())
+        values[key] = parse_value(key, raw.strip())
     return ExperimentConfig(**values)
 
 

@@ -96,19 +96,21 @@ def build_operator(cfg: ExperimentConfig, f0_hz: float | None = None) -> Imaging
     return ImagingOperator(build_scene(cfg, f0_hz=f0_hz)[-1])
 
 
-def check_scene(cfg: ExperimentConfig, saved: dict, source: str) -> None:
+def check_scene(cfg: ExperimentConfig, saved: dict, source: str, fields=SCENE_FIELDS) -> None:
     """Raise FormatError if ``saved``, a checkpoint's config fields or an echo
-    container's header, records a scene field with another value than ``cfg``.
+    container's header, records one of ``fields`` with another value than
+    ``cfg``.
 
     This is the one rule for whether an artifact belongs to the run's scene:
     the fields of :data:`~radarqi.config.SCENE_FIELDS` fix the sensing
     matrix, so a network's weights and an echo's samples mean the same only
-    where all of them agree. ``infer`` checks a container's header without
+    where all of them agree. ``eval --echoes`` also compares the seed, which
+    fixes the test split; ``infer`` compares every scene field but
     ``f0_hz``, the one field a container may change (``synth --f0-ghz``, the
-    frequency-migration test); it reads the echoes through the operator of
+    frequency-migration test), and reads the echoes through the operator of
     the container's own sweep.
     """
-    for field in SCENE_FIELDS:
+    for field in fields:
         if field in saved and saved[field] != getattr(cfg, field):
             raise FormatError(
                 f"{source} was made with {field}={saved[field]}, current config "

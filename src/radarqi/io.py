@@ -31,15 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .config import parse_value
+from .errors import ConfigError, FormatError
 
 ECHO_MAGIC = "radarqi-echoes"
 ECHO_VERSION = 2
-
-
-def fmt_float(x) -> str:
-    """Round-trip decimal representation of a binary64 value."""
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +153,17 @@ def save_echoes(
     ``split`` names the dataset split the echoes were made from, and a
     container of echoes from no split records none. The grid and standoff
     of the scene are recorded where given."""
-    header = [
-        f"f0_hz = {fmt_float(f0_hz)}",
-        f"bandwidth_hz = {fmt_float(bandwidth_hz)}",
-        f"n_freqs = {n_freqs}",
-        f"n_antennas = {n_antennas}",
-        f"snr_db = {'none' if snr_db is None else fmt_float(snr_db)}",
-        f"seed = {seed}",
-    ]
+    header = {
+        "f0_hz": f0_hz, "bandwidth_hz": bandwidth_hz, "n_freqs": n_freqs, "n_antennas": n_antennas,
+        "snr_db": snr_db, "seed": seed,
+    }
     optional = {
         "split": split, "side_cells": side_cells, "cell_size_m": cell_size_m, "standoff_m": standoff_m
     }
-    header += [f"{key} = {format_cell(value)}" for key, value in optional.items() if value is not None]
+    header.update((key, value) for key, value in optional.items() if value is not None)
+    lines = [f"{key} = {format_cell(value)}" for key, value in header.items()]
     arrays = {"echoes": np.atleast_2d(np.asarray(echoes, dtype=np.complex128))}
-    write_container(path, ECHO_MAGIC, ECHO_VERSION, header, arrays, "<c16")
+    write_container(path, ECHO_MAGIC, ECHO_VERSION, lines, arrays, "<c16")
 
 
 def load_echoes(path) -> tuple[np.ndarray, dict]:
@@ -185,16 +178,13 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
     echoes = arrays["echoes"]
     meta: dict = header_fields(lines, path)
     try:
-        meta["f0_hz"] = float(meta["f0_hz"])
-        meta["bandwidth_hz"] = float(meta["bandwidth_hz"])
-        meta["n_freqs"] = int(meta["n_freqs"])
-        meta["n_antennas"] = int(meta["n_antennas"])
         meta["snr_db"] = None if meta["snr_db"] == "none" else float(meta["snr_db"])
-        meta["seed"] = int(meta["seed"])
-        for key, parse in (("side_cells", int), ("cell_size_m", float), ("standoff_m", float)):
+        for key in ("f0_hz", "bandwidth_hz", "n_freqs", "n_antennas", "seed"):
+            meta[key] = parse_value(key, meta[key])
+        for key in ("side_cells", "cell_size_m", "standoff_m"):
             if key in meta:
-                meta[key] = parse(meta[key])
-    except (KeyError, ValueError) as exc:
+                meta[key] = parse_value(key, meta[key])
+    except (KeyError, ValueError, ConfigError) as exc:
         raise FormatError(f"{path}: bad echo container header ({exc})") from exc
     meta["count"], meta["length"] = echoes.shape
     if meta["count"] == 0:
@@ -289,7 +279,7 @@ def format_cell(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
+        return repr(float(value))
     return str(value)
 
 
