@@ -4,19 +4,20 @@ Subcommands: synth, fista, train, infer, eval, sweep-snr, sweep-freq,
 shapes. Exit codes: 0 success, 2 configuration error (including a missing
 checkpoint), 3 data/format error, 4 numerical divergence. Exit 3 also covers
 inputs made for another scene: an ``eval --echoes`` container whose sweep,
-array, standoff, cell size or grid differs from the config, that was made
-with another seed, whose echo count differs from the test split, or whose
-header names another split (a container that names none is taken as the
-test split); an ``infer`` container of another array, frequency count,
-bandwidth, standoff, cell size or grid (its start frequency may differ);
-and a checkpoint trained on another scene. A container that records no
-standoff, cell size or grid (one written before containers recorded them)
-is taken as made with the config's. It covers corrupt inputs too: an echo
-container whose header values make no scene, a checkpoint of an unknown
-kind, and a checkpoint whose ``[config]`` section is not a valid config. An
-echo container or a checkpoint written before the shared array layout of
-:mod:`radarqi.io` exits 3 with "unsupported ... version"; ``radarqi synth``
-or ``radarqi train`` writes a new one.
+array (antenna count or design frequency), standoff, cell size or grid
+differs from the config, that was made with another seed, whose echo count
+differs from the test split, or whose header names another split (a
+container that names none is taken as the test split); an ``infer``
+container of another array (antenna count or design frequency), frequency
+count, bandwidth, standoff, cell size or grid (its start frequency may
+differ); and a checkpoint trained on another scene. A container that records
+no standoff, cell size, grid or array design frequency (one written before
+containers recorded them) is taken as made with the config's. It covers
+corrupt inputs too: an echo container whose header values make no scene, a
+checkpoint of an unknown kind, and a checkpoint whose ``[config]`` section
+is not a valid config. An echo container or a checkpoint written before the
+shared array layout of :mod:`radarqi.io` exits 3 with "unsupported ...
+version"; ``radarqi synth`` or ``radarqi train`` writes a new one.
 
 ``eval``, ``sweep-snr``, ``sweep-freq`` and ``shapes`` score every method, so
 each needs all three network checkpoints.
@@ -96,13 +97,14 @@ def _setup(args) -> tuple[ExperimentConfig, Path]:
 def _load_container(cfg: ExperimentConfig, path):
     """An echo container's echoes, the operator of the scene they were made
     with, and its header. The operator takes every scene field the header
-    records and the config's value of each one it does not; the antenna
-    spacing stays that of the configured frequency. Header values that make
-    no scene raise FormatError."""
+    records and the config's value of each one it does not: its sweep
+    starts at the header's ``f0_hz``, and its antennas are spaced for the
+    recorded ``array_f0_hz``, or else for the config's ``f0_hz``. Header
+    values that make no scene raise FormatError."""
     echoes, meta = rio.load_echoes(path)
     recorded = {field: meta[field] for field in SCENE_FIELDS if field in meta and field != "f0_hz"}
     try:
-        scene = dataclasses.replace(cfg, **recorded)
+        scene = dataclasses.replace(cfg, **recorded, f0_hz=meta.get("array_f0_hz", cfg.f0_hz))
         return echoes, build_operator(scene, f0_hz=meta["f0_hz"]), meta
     except (ConfigError, ValueError) as exc:
         raise FormatError(f"echo container {path} makes no scene: {exc}") from exc
@@ -143,6 +145,7 @@ def cmd_synth(args) -> int:
         side_cells=cfg.side_cells,
         cell_size_m=cfg.cell_size_m,
         standoff_m=cfg.standoff_m,
+        array_f0_hz=cfg.f0_hz,
     )
     print(f"wrote {len(echoes)} echoes to {path}")
     return 0
@@ -181,8 +184,8 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     cfg, out = _setup(args)
     echoes, op, meta = _load_container(cfg, args.echoes)
-    # another start frequency is the frequency-migration test
-    fields = [field for field in SCENE_FIELDS if field != "f0_hz"]
+    # another start frequency is the frequency-migration test; the array is the scene's
+    fields = ["array_f0_hz" if field == "f0_hz" else field for field in SCENE_FIELDS]
     check_scene(cfg, meta, f"echo container {args.echoes}", fields)
     model = load_trained_model(cfg, op, None, args.checkpoint)
     maps = predict_maps(model, echoes, op)
@@ -199,7 +202,8 @@ def cmd_eval(args) -> int:
     test_echoes = bundle.test_echoes
     if args.echoes:
         test_echoes, meta = rio.load_echoes(args.echoes)
-        check_scene(cfg, meta, f"echo container {args.echoes}", (*SCENE_FIELDS, "seed"))
+        fields = (*SCENE_FIELDS, "array_f0_hz", "seed")
+        check_scene(cfg, meta, f"echo container {args.echoes}", fields)
         if len(test_echoes) != len(bundle.test_maps):
             raise FormatError(
                 f"echo container has {len(test_echoes)} echoes but the test "

@@ -4,6 +4,12 @@
 and valid range. The solver, the networks, the loss and the schedule are
 built from it and take these values as required arguments.
 
+:data:`RANGES` lists each bounded field once with the values it allows, and
+a config outside them raises :class:`~radarqi.errors.ConfigError` reading
+``<field> must be <rule>, got <value>``. :func:`parse_value` types a field's
+text, for config files and for the echo-container header keys that record
+a field (:mod:`radarqi.io`).
+
 Defaults reproduce the reference desk-scale setup: a 28x28 grid of 1 cm
 cells imaged by 4 antennas at 2 m standoff sweeping 50 frequencies over
 5 GHz from 30 GHz (200 measurements for 784 unknowns).
@@ -80,6 +86,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mnist_dir must be one line without surrounding whitespace, got {self.mnist_dir!r}"
             )
+
+    @property
+    def array_f0_hz(self) -> float:
+        """The frequency whose half wavelength spaces the antennas: ``f0_hz``,
+        whichever frequency a sweep starts from. Echo containers record it
+        under this name."""
+        return self.f0_hz
 
     @property
     def n_cells(self) -> int:

@@ -104,11 +104,13 @@ def check_scene(cfg: ExperimentConfig, saved: dict, source: str, fields=SCENE_FI
     This is the one rule for whether an artifact belongs to the run's scene:
     the fields of :data:`~radarqi.config.SCENE_FIELDS` fix the sensing
     matrix, so a network's weights and an echo's samples mean the same only
-    where all of them agree. ``eval --echoes`` also compares the seed, which
-    fixes the test split; ``infer`` compares every scene field but
-    ``f0_hz``, the one field a container may change (``synth --f0-ghz``, the
-    frequency-migration test), and reads the echoes through the operator of
-    the container's own sweep.
+    where all of them agree. ``eval --echoes`` also compares a container's
+    ``array_f0_hz`` (:attr:`~radarqi.config.ExperimentConfig.array_f0_hz`)
+    and the seed, which fixes the test split. ``infer`` compares
+    ``array_f0_hz`` in place of ``f0_hz``: the sweep start is the one value a
+    container may change (``synth --f0-ghz``, the frequency-migration test),
+    and ``infer`` reads the echoes through the operator of the container's
+    own sweep.
     """
     for field in fields:
         if field in saved and saved[field] != getattr(cfg, field):

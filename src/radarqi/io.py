@@ -14,14 +14,25 @@ A container is one layout for both formats::
 it: every byte offset and size is computed there, and every framing or
 manifest fault raises :class:`~radarqi.errors.FormatError`.
 :func:`header_fields` reads ``key = value`` header lines and rejects a key
-listed twice. Echo containers (version 2, here) hold their synthesis
-metadata (with the split they come from, when they come from one) and one
-``echoes`` array of ``<c16``; checkpoints (version 3, :mod:`radarqi.training`)
-hold their metadata and config, and ``<f8`` parameters in model order.
+listed twice. Echo containers (version 2, here) hold one ``echoes`` array
+of ``<c16`` and their synthesis metadata as header keys:
+
+- always ``f0_hz`` (where the sweep starts), ``bandwidth_hz``, ``n_freqs``,
+  ``n_antennas``, ``snr_db`` (``none`` for noise-free echoes) and ``seed``;
+- where recorded, ``split`` (the dataset split the echoes come from),
+  ``side_cells``, ``cell_size_m``, ``standoff_m``, and ``array_f0_hz``, the
+  config's ``f0_hz`` that spaces the antennas, which ``f0_hz`` differs from
+  when ``synth --f0-ghz`` moved the sweep.
+
+:func:`load_echoes` parses each key that holds a config field's value with
+:func:`~radarqi.config.parse_value`. Checkpoints (version 3,
+:mod:`radarqi.training`) hold their metadata and config, and ``<f8``
+parameters in model order.
 
 Everything written here is byte-deterministic given identical inputs:
-floats are serialized with round-tripping ``repr``, arrays as little-endian
-binary64, images as binary PGM (P5).
+:func:`format_cell` writes every header and CSV value, floats with
+round-tripping ``repr``; arrays are little-endian binary64 and images
+binary PGM (P5).
 """
 
 from __future__ import annotations
@@ -148,17 +159,21 @@ def save_echoes(
     side_cells: int | None = None,
     cell_size_m: float | None = None,
     standoff_m: float | None = None,
+    array_f0_hz: float | None = None,
 ) -> None:
     """Write (count, length) complex echoes with their synthesis metadata;
     ``split`` names the dataset split the echoes were made from, and a
     container of echoes from no split records none. The grid and standoff
-    of the scene are recorded where given."""
+    of the scene, and the array's design frequency (the config's ``f0_hz``,
+    which ``f0_hz`` differs from when the sweep starts elsewhere), are
+    recorded where given."""
     header = {
         "f0_hz": f0_hz, "bandwidth_hz": bandwidth_hz, "n_freqs": n_freqs, "n_antennas": n_antennas,
         "snr_db": snr_db, "seed": seed,
     }
     optional = {
-        "split": split, "side_cells": side_cells, "cell_size_m": cell_size_m, "standoff_m": standoff_m
+        "split": split, "side_cells": side_cells, "cell_size_m": cell_size_m,
+        "standoff_m": standoff_m, "array_f0_hz": array_f0_hz,
     }
     header.update((key, value) for key, value in optional.items() if value is not None)
     lines = [f"{key} = {format_cell(value)}" for key, value in header.items()]
@@ -169,8 +184,8 @@ def save_echoes(
 def load_echoes(path) -> tuple[np.ndarray, dict]:
     """Read an echo container; returns (echoes, header-metadata dict), the
     dict with ``count`` and ``length`` from the echoes' shape. ``split``,
-    ``side_cells``, ``cell_size_m`` and ``standoff_m`` are each parsed when
-    the header records them and absent when it does not."""
+    ``side_cells``, ``cell_size_m``, ``standoff_m`` and ``array_f0_hz`` are
+    each parsed when the header records them and absent when it does not."""
     lines, arrays = read_container(path, ECHO_MAGIC, ECHO_VERSION, "echo container", "<c16")
     shapes = {name: arr.shape for name, arr in arrays.items()}
     if list(shapes) != ["echoes"] or len(shapes["echoes"]) != 2:
@@ -181,9 +196,9 @@ def load_echoes(path) -> tuple[np.ndarray, dict]:
         meta["snr_db"] = None if meta["snr_db"] == "none" else float(meta["snr_db"])
         for key in ("f0_hz", "bandwidth_hz", "n_freqs", "n_antennas", "seed"):
             meta[key] = parse_value(key, meta[key])
-        for key in ("side_cells", "cell_size_m", "standoff_m"):
-            if key in meta:
-                meta[key] = parse_value(key, meta[key])
+        for key in ("side_cells", "cell_size_m", "standoff_m", "array_f0_hz"):
+            if key in meta:  # array_f0_hz holds a value of the config's f0_hz
+                meta[key] = parse_value(key.removeprefix("array_"), meta[key])
     except (KeyError, ValueError, ConfigError) as exc:
         raise FormatError(f"{path}: bad echo container header ({exc})") from exc
     meta["count"], meta["length"] = echoes.shape
@@ -276,6 +291,8 @@ def curve_raster(xs, ys) -> np.ndarray:
 
 
 def format_cell(value) -> str:
+    """A header or CSV value as text: ``none`` for None, a float as its
+    round-tripping ``repr``."""
     if value is None:
         return "none"
     if isinstance(value, (float, np.floating)):

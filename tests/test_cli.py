@@ -435,6 +435,45 @@ def test_container_synthesized_for_another_scene(two_runs, tmp_path, line):
     assert (out / "fista_00000.pgm").read_bytes().startswith(f"P5\n{side} {side}\n".encode())
 
 
+def test_container_synthesized_for_another_array_frequency(two_runs, tmp_path):
+    """synth records the array's design frequency (the config's f0_hz) apart
+    from the sweep start: infer and eval --echoes reject a container made
+    under another f0_hz, also one whose sweep was moved back to the config's
+    start, and fista reconstructs it on its own array."""
+    workdir, config, (run1, _) = two_runs
+    other = write_config(tmp_path / "f24.cfg", with_line("f0_hz = 24e9"))
+    made, moved = tmp_path / "made", tmp_path / "moved"
+    cli_ok(["synth", "--config", str(other), "--out-dir", str(made)], workdir)
+    cli_ok(["synth", "--config", str(other), "--out-dir", str(moved), "--f0-ghz", "30"], workdir)
+    for container, command, field in [
+        (made, "infer", "array_f0_hz"),
+        (made, "eval", "f0_hz"),
+        (moved, "infer", "array_f0_hz"),
+        (moved, "eval", "array_f0_hz"),
+    ]:
+        echoes = str(container / "echoes_test.bin")
+        inputs = {
+            "infer": ["--checkpoint", str(run1 / "checkpoint_lfista_resnet.ckpt")],
+            "eval": ["--checkpoint-dir", str(run1)],
+        }[command]
+        out = tmp_path / f"{container.name}_{command}"
+        proc = run_cli(
+            [command, "--config", str(config), "--out-dir", str(out), "--echoes", echoes, *inputs],
+            workdir,
+        )
+        assert proc.returncode == 3, proc.stderr
+        expected = f"echo container {echoes} was made with {field}=24000000000.0, current config"
+        assert expected in proc.stderr
+        assert not list(out.glob("*"))
+    pgms = {}
+    for name, cfg in [("small", config), ("f24", other)]:
+        out = tmp_path / f"fista_{name}"
+        cli_ok(["fista", "--config", str(cfg), "--out-dir", str(out),
+                "--echoes", str(made / "echoes_test.bin")], workdir)
+        pgms[name] = artifacts(out)
+    assert pgms["small"] == pgms["f24"] and len(pgms["small"]) == 8
+
+
 def test_infer_reads_a_container_of_another_start_frequency(two_runs, tmp_path):
     workdir, config, (run1, _) = two_runs
     cli_ok(["synth", "--config", str(config), "--out-dir", str(tmp_path), "--f0-ghz", "32"], workdir)

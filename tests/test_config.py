@@ -1,11 +1,12 @@
 import dataclasses
 import inspect
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radarqi.config import ExperimentConfig, config_from_text
+from radarqi.config import RANGES, ExperimentConfig, config_from_text, load_config
 from radarqi.datasets import split_dataset
 from radarqi.errors import ConfigError
 from radarqi.fista import FistaConfig
@@ -73,22 +74,61 @@ def test_non_finite_length_or_frequency_rejected(name, value):
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize(
-    "name, value",
-    [
-        ("n_blocks", 0), ("res_channels", 0), ("fista_max_iter", 0),
-        ("res_blocks", -1), ("plateau_patience", -1), ("seed", -1),
-        ("fista_lambda", -0.001), ("fista_lambda", INF), ("fista_lambda", NAN),
-        ("loss_lambda1", -0.1), ("loss_lambda2", INF),
-        ("frozen_lambda", 0.0), ("frozen_lambda", NAN),
-        ("learning_rate", -0.01), ("learning_rate", NAN),
-        ("plateau_factor", 0.0), ("plateau_factor", 1.5), ("plateau_factor", NAN),
-        ("standoff_m", NAN), ("standoff_m", -INF),
-    ],
-)
+OUT_OF_RANGE = [
+    ("n_blocks", 0), ("res_channels", 0), ("fista_max_iter", 0),
+    ("res_blocks", -1), ("plateau_patience", -1), ("seed", -1),
+    ("fista_lambda", -0.001), ("fista_lambda", INF), ("fista_lambda", NAN),
+    ("loss_lambda1", -0.1), ("loss_lambda2", INF),
+    ("frozen_lambda", 0.0), ("frozen_lambda", NAN),
+    ("learning_rate", -0.01), ("learning_rate", NAN),
+    ("plateau_factor", 0.0), ("plateau_factor", 1.5), ("plateau_factor", NAN),
+    ("standoff_m", NAN), ("standoff_m", -INF),
+    ("side_cells", 0), ("n_antennas", 0), ("n_freqs", 0),
+    ("train_size", 0), ("val_size", 0), ("test_size", 0), ("batch_size", 0),
+    ("epochs", -1), ("cell_size_m", 0.0), ("f0_hz", 0.0), ("bandwidth_hz", 0.0),
+]
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE)
 def test_out_of_range_hyperparameter_rejected(name, value):
-    with pytest.raises(ConfigError, match=name):
+    # every rejection reads '<field> must be <rule>, got <value>'
+    message = rf"{name} must be .+, got {re.escape(repr(value))}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         ExperimentConfig(**{name: value})
+
+
+def test_every_bounded_field_has_a_rejection_case():
+    assert {name for name, _ in OUT_OF_RANGE} == set(RANGES)
+
+
+def test_the_generated_configs_bound_the_fields_the_table_bounds():
+    bounded = POSITIVE_INTS | NON_NEGATIVE_INTS | POSITIVE_FLOATS | POSITIVE_WEIGHTS
+    assert bounded | NON_NEGATIVE_WEIGHTS | {"plateau_factor", "standoff_m"} == set(RANGES)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n_freqs 10\n", "line 1: expected 'key = value', got 'n_freqs 10'"),
+        ("seed = 1\nseed = 2\n", "line 2: duplicate config key 'seed'"),
+        ("n_freqs = ten\n", "bad value for n_freqs: 'ten'"),
+    ],
+    ids=["no_equals", "duplicate", "not_an_int"],
+)
+def test_config_text_fault_rejected(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_text(text)
+
+
+def test_comment_and_blank_lines_skipped():
+    text = "# the seed\n\n   \n  # indented comment\nseed = 4\n"
+    assert config_from_text(text) == ExperimentConfig(seed=4)
+
+
+def test_missing_config_file_rejected(tmp_path):
+    path = tmp_path / "absent.cfg"
+    with pytest.raises(ConfigError, match=re.escape(f"config file not found: {path}")):
+        load_config(path)
 
 
 # What the builders below take that no config field holds.

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from radarqi.io import (
     load_echoes,
     save_echoes,
     to_gray_bytes,
+    write_pgm,
 )
 from radarqi.training import (
     CHECKPOINT_MAGIC,
@@ -57,6 +59,27 @@ class TestEchoContainer:
         _, meta = load_echoes(path)
         assert {key: meta[key] for key in scene} == scene
         assert type(meta["side_cells"]) is int and "split" not in meta
+
+    def test_array_frequency_round_trips(self, tmp_path):
+        path = tmp_path / "echoes.bin"
+        save_echoes(path, np.ones((2, 6)), 32e9, 5e9, 3, 2, None, 3, array_f0_hz=24e9)
+        _, meta = load_echoes(path)
+        assert (meta["f0_hz"], meta["array_f0_hz"]) == (32e9, 24e9)
+        assert type(meta["array_f0_hz"]) is float
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [(b"seed = 3\n", b"", "'seed'"), (b"n_freqs = 3\n", b"n_freqs = ten\n", "'ten'")],
+        ids=["no_seed", "n_freqs_ten"],
+    )
+    def test_bad_header_value_rejected(self, tmp_path, old, new, message):
+        path = tmp_path / "echoes.bin"
+        write_container(path)
+        data = path.read_bytes()
+        assert old in data
+        (tmp_path / "bad.bin").write_bytes(data.replace(old, new, 1))
+        with pytest.raises(FormatError, match=rf"bad echo container header \(.*{re.escape(message)}"):
+            load_echoes(tmp_path / "bad.bin")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "echoes.bin"
@@ -260,3 +283,10 @@ def test_gray_bytes_round_half_up_and_leave_the_input_alone():
     want = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     np.testing.assert_array_equal(to_gray_bytes(img), want)
     np.testing.assert_array_equal(img, before)
+
+
+def test_write_pgm_rejects_a_1d_image(tmp_path):
+    path = tmp_path / "row.pgm"
+    with pytest.raises(ValueError, match=re.escape("expected a 2-D image, got shape (4,)")):
+        write_pgm(path, np.zeros(4))
+    assert not path.exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -423,6 +424,33 @@ class TestCheckpointIO:
         other_op = build_operator(other_cfg)
         with pytest.raises(FormatError, match="side_cells"):
             load_trained_model(other_cfg, other_op, "lfista_resnet", path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (rb"\n\[config\]\n", b"\n", "missing [config] section"),
+            (rb"\nepoch = \d+\n", b"\nepoch = x\n", "bad checkpoint metadata"),
+        ],
+        ids=["no_config_section", "epoch_x"],
+    )
+    def test_bad_metadata_rejected(self, tmp_path, old, new, message):
+        _, _, ckpt = self._checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        data, n = re.subn(old, new, path.read_bytes(), count=1)
+        assert n == 1
+        (tmp_path / "bad.ckpt").write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_parameter_of_another_shape_on_restore(self):
+        cfg, op, ckpt = self._checkpoint()
+        shape = ckpt.params["tail_kernel"].shape
+        ckpt.params["tail_kernel"] = np.zeros((1, *shape))
+        fresh = build_model("lfista_resnet", op, cfg, cfg.seed)
+        expected = f"shape mismatch for 'tail_kernel': checkpoint {(1, *shape)}, model {shape}"
+        with pytest.raises(FormatError, match=re.escape(expected)):
+            restore_model(fresh, ckpt)
 
     def test_kind_mismatch_on_restore(self):
         _, op, ckpt = self._checkpoint()
