@@ -8,7 +8,8 @@ built from it and take these values as required arguments.
 a config outside them raises :class:`~radarqi.errors.ConfigError` reading
 ``<field> must be <rule>, got <value>``. :func:`parse_value` types a field's
 text, for config files and for the echo-container header keys that record
-a field (:mod:`radarqi.io`).
+a field (:mod:`radarqi.io`). :func:`format_value` writes every value as
+text: config lines, container headers and CSV cells.
 
 Defaults reproduce the reference desk-scale setup: a 28x28 grid of 1 cm
 cells imaged by 4 antennas at 2 m standoff sweeping 50 frequencies over
@@ -21,6 +22,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -102,8 +105,9 @@ class ExperimentConfig:
         lines = []
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            text = repr(float(value)) if f.type == "float" else str(value)
-            lines.append(f"{f.name} = {text}")
+            if f.type == "float":  # an int given for a float field is written as a float
+                value = float(value)
+            lines.append(f"{f.name} = {format_value(value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -114,6 +118,16 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 SCENE_FIELDS = (
     "side_cells", "cell_size_m", "standoff_m", "n_antennas", "f0_hz", "bandwidth_hz", "n_freqs"
 )
+
+
+def format_value(value) -> str:
+    """A config, header or CSV value as text: ``none`` for None, a float as
+    its round-tripping ``repr``; :func:`parse_value` reads it back."""
+    if value is None:
+        return "none"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
 def parse_value(name: str, raw: str):

@@ -30,9 +30,9 @@ of ``<c16`` and their synthesis metadata as header keys:
 parameters in model order.
 
 Everything written here is byte-deterministic given identical inputs:
-:func:`format_cell` writes every header and CSV value, floats with
-round-tripping ``repr``; arrays are little-endian binary64 and images
-binary PGM (P5).
+:func:`~radarqi.config.format_value` writes every header and CSV value,
+floats with round-tripping ``repr``; arrays are little-endian binary64 and
+images binary PGM (P5).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import parse_value
+from .config import format_value, parse_value
 from .errors import ConfigError, FormatError
 
 ECHO_MAGIC = "radarqi-echoes"
@@ -176,31 +176,46 @@ def save_echoes(
         "standoff_m": standoff_m, "array_f0_hz": array_f0_hz,
     }
     header.update((key, value) for key, value in optional.items() if value is not None)
-    lines = [f"{key} = {format_cell(value)}" for key, value in header.items()]
+    lines = [f"{key} = {format_value(value)}" for key, value in header.items()]
     arrays = {"echoes": np.atleast_2d(np.asarray(echoes, dtype=np.complex128))}
     write_container(path, ECHO_MAGIC, ECHO_VERSION, lines, arrays, "<c16")
+
+
+def _echo_header_value(key: str, raw: str):
+    """The value of echo header key ``key``: ``snr_db`` holds ``none`` or a
+    float, and every other key a config field's value (``array_f0_hz`` one
+    of ``f0_hz``)."""
+    if key == "snr_db":
+        return None if raw == "none" else float(raw)
+    return parse_value(key.removeprefix("array_"), raw)
 
 
 def load_echoes(path) -> tuple[np.ndarray, dict]:
     """Read an echo container; returns (echoes, header-metadata dict), the
     dict with ``count`` and ``length`` from the echoes' shape. ``split``,
     ``side_cells``, ``cell_size_m``, ``standoff_m`` and ``array_f0_hz`` are
-    each parsed when the header records them and absent when it does not."""
+    each parsed when the header records them and absent when it does not.
+    A missing key or a value that does not parse raises
+    :class:`FormatError` naming the header key."""
     lines, arrays = read_container(path, ECHO_MAGIC, ECHO_VERSION, "echo container", "<c16")
     shapes = {name: arr.shape for name, arr in arrays.items()}
     if list(shapes) != ["echoes"] or len(shapes["echoes"]) != 2:
         raise FormatError(f"{path}: expected one 2-D echoes array, found {shapes}")
     echoes = arrays["echoes"]
     meta: dict = header_fields(lines, path)
-    try:
-        meta["snr_db"] = None if meta["snr_db"] == "none" else float(meta["snr_db"])
-        for key in ("f0_hz", "bandwidth_hz", "n_freqs", "n_antennas", "seed"):
-            meta[key] = parse_value(key, meta[key])
-        for key in ("side_cells", "cell_size_m", "standoff_m", "array_f0_hz"):
-            if key in meta:  # array_f0_hz holds a value of the config's f0_hz
-                meta[key] = parse_value(key.removeprefix("array_"), meta[key])
-    except (KeyError, ValueError, ConfigError) as exc:
-        raise FormatError(f"{path}: bad echo container header ({exc})") from exc
+    required = ("f0_hz", "bandwidth_hz", "n_freqs", "n_antennas", "snr_db", "seed")
+    optional = ("side_cells", "cell_size_m", "standoff_m", "array_f0_hz")
+    for key in required + optional:
+        if key not in meta:
+            if key in optional:
+                continue
+            raise FormatError(f"{path}: bad echo container header (missing key {key!r})")
+        try:
+            meta[key] = _echo_header_value(key, meta[key])
+        except (ValueError, ConfigError) as exc:
+            raise FormatError(
+                f"{path}: bad echo container header (bad value for key {key}: {meta[key]!r})"
+            ) from exc
     meta["count"], meta["length"] = echoes.shape
     if meta["count"] == 0:
         raise FormatError(f"{path}: the echo container holds no echoes")
@@ -290,20 +305,10 @@ def curve_raster(xs, ys) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def format_cell(value) -> str:
-    """A header or CSV value as text: ``none`` for None, a float as its
-    round-tripping ``repr``."""
-    if value is None:
-        return "none"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path, columns: list[str], rows: list[tuple], comments: list[str] | None = None) -> None:
     """Write a deterministic CSV: optional '#' comment lines, header, rows."""
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+        lines.append(",".join(format_value(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -2,12 +2,20 @@
 
 Both score over the last two axes: one image pair gives a float, a stack of
 pairs gives one value per pair.
+
+SSIM filters with the window as two small matrix products, one per image
+axis: ``W_h @ moments @ W_w.T``. ``W_n`` is the n x n matrix of the 1-D
+Gaussian taps under reflective padding (:func:`filter_matrices`). An index
+past the border folds modulo ``2n``, so an image side below the window
+radius reflects as often as it takes. Each matrix is built once per image
+side and cached.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy import ndimage
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -41,6 +49,28 @@ def _gaussian_taps() -> np.ndarray:
     return g / g.sum()
 
 
+def filter_matrices(taps: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrices that correlate a length-``n`` signal with each
+    row of ``taps`` (odd length, centred): ``(..., k)`` taps give
+    ``(..., n, n)`` matrices. The borders are padded by reflection, which
+    repeats the edge sample (``d c b a | a b c d | d c b a``); an index
+    folds modulo ``2n``, so it reflects as often as the taps reach."""
+    k = taps.shape[-1]
+    folded = np.mod(np.arange(n)[:, None] + np.arange(k) - k // 2, 2 * n)
+    cols = np.where(folded < n, folded, 2 * n - 1 - folded)
+    scatter = np.zeros((k, n, n))
+    scatter[np.arange(k), np.arange(n)[:, None], cols] = 1.0
+    return (taps @ scatter.reshape(k, n * n)).reshape(*taps.shape[:-1], n, n)
+
+
+@lru_cache(maxsize=None)
+def _window_matrix(n: int) -> np.ndarray:
+    """The SSIM window's matrix for an image axis of length ``n``."""
+    window = filter_matrices(_gaussian_taps(), n)
+    window.flags.writeable = False
+    return window
+
+
 def ssim(a: np.ndarray, b: np.ndarray):
     """Mean local structural similarity over an 11x11 Gaussian window.
 
@@ -51,11 +81,11 @@ def ssim(a: np.ndarray, b: np.ndarray):
     so one 1-D pass along each image axis applies the same window.
     """
     a, b = _pair(a, b)
-    taps = _gaussian_taps()
-    # One 1-D pass per axis filters all five local moments at once.
+    # Two products per image filter all five local moments at once; each
+    # image gets its own products, so a stack scores as its pairs do.
     moments = np.stack([a, b, a * a, b * b, a * b])
-    rows = ndimage.correlate1d(moments, taps, axis=-1, mode="reflect")
-    mu_a, mu_b, e_aa, e_bb, e_ab = ndimage.correlate1d(rows, taps, axis=-2, mode="reflect")
+    rows = moments @ _window_matrix(a.shape[-1]).T
+    mu_a, mu_b, e_aa, e_bb, e_ab = _window_matrix(a.shape[-2]) @ rows
     var_a = e_aa - mu_a**2
     var_b = e_bb - mu_b**2
     cov = e_ab - mu_a * mu_b

@@ -36,10 +36,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import ExperimentConfig, config_from_text
+from .config import ExperimentConfig, config_from_text, format_value
 from .errors import ConfigError, DivergedError, FormatError
 from .fista import ImagingOperator
-from .io import format_cell, header_fields, read_container, write_container, write_csv
+from .io import header_fields, read_container, write_container, write_csv
 from .metrics import image_quality
 from .models import NETWORK_KINDS, predict_maps
 
@@ -166,7 +166,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     lines = [
         f"kind = {ckpt.kind}",
         f"epoch = {ckpt.epoch}",
-        f"best_val_loss = {format_cell(ckpt.best_val_loss)}",
+        f"best_val_loss = {format_value(ckpt.best_val_loss)}",
         "[config]",
         *ckpt.config.to_text().splitlines(),
     ]

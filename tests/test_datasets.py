@@ -177,7 +177,9 @@ def per_digit_rasters(count: int, seed: int) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("count, seed", [(0, 0), (1, 1), (350, 7), (350, 1501)])
+@pytest.mark.parametrize(
+    "count, seed", [(0, 0), (1, 1), (350, 0), (350, 7), (350, 1501), (2000, 0)]
+)
 def test_synthetic_digits_match_the_per_digit_loop(count, seed):
     np.testing.assert_array_equal(synthetic_digit_rasters(count, seed), per_digit_rasters(count, seed))
 

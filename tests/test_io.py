@@ -74,6 +74,25 @@ class TestEchoContainer:
         with pytest.raises(FormatError, match=rf"bad echo container header \(.*{re.escape(message)}"):
             load_echoes(tmp_path / "bad.bin")
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"snr_db = none\n", b"snr_db = loud\n"),
+            (b"array_f0_hz = 24000000000.0\n", b"array_f0_hz = fast\n"),
+        ],
+        ids=["snr_db", "array_f0_hz"],
+    )
+    def test_bad_header_value_names_the_key(self, tmp_path, old, new):
+        path = tmp_path / "echoes.bin"
+        save_echoes(path, np.ones((2, 6)), 30e9, 5e9, 3, 2, None, 3, array_f0_hz=24e9)
+        data = path.read_bytes()
+        assert old in data
+        (tmp_path / "bad.bin").write_bytes(data.replace(old, new, 1))
+        key, _, value = new.decode().strip().partition(" = ")
+        message = f"bad echo container header (bad value for key {key}: {value!r})"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_echoes(tmp_path / "bad.bin")
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "echoes.bin"
         write_container(path)
