@@ -45,11 +45,11 @@ batch at each iteration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RANGES
 from .errors import DivergedError
 
 # Iterations between two resets of the classic solver's carried range
@@ -176,10 +176,11 @@ class FistaConfig:
     rel_tol: float | None = None
 
     def __post_init__(self):
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        for name, key in (("lam", "fista_lambda"), ("max_iter", "fista_max_iter")):
+            rule, allowed = RANGES[key]
+            value = getattr(self, name)
+            if not allowed(value):
+                raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass
@@ -218,12 +219,11 @@ def fista_iterates(op: ImagingOperator, echoes: np.ndarray, steps, thresholds, p
         y = x + w_i (x - x_prev),  r = steps[i] (y C^T - z) C,
         x_next = prox(y - r, thresholds[i])
 
-    on (n, P) rows and yields ``(x, x_prev, r)``: the new iterate, the one
-    before it and the step taken from y, ``steps[i]`` times the gradient
-    G y - b at y. The yielded arrays are buffers that the next iteration
-    overwrites; copy what must outlive it. An iteration allocates nothing of
-    size (n, P) and makes seven passes over such rows, one of them the
-    second thin product writing r.
+    on (n, P) rows and yields ``(x, r)``: the new iterate and the step taken
+    from y, ``steps[i]`` times the gradient G y - b at y. The yielded arrays
+    are buffers that the next iteration overwrites; copy what must outlive
+    it. An iteration allocates nothing of size (n, P) and makes seven passes
+    over such rows, one of them the second thin product writing r.
     """
     z = op.coords(echoes)
     weights = momentum_coeffs(len(steps))
@@ -244,7 +244,7 @@ def fista_iterates(op: ImagingOperator, echoes: np.ndarray, steps, thresholds, p
         np.matmul(mid, op.factor, out=r)
         y -= r
         x_prev, x, spare = x, prox(y, theta, out=spare), y
-        yield x, x_prev, r
+        yield x, r
 
 
 def _solver_iterates(op: ImagingOperator, echoes: np.ndarray, n_iters: int, step: float, theta: float):

@@ -41,14 +41,6 @@ from .metrics import image_quality
 from .models import NETWORK_KINDS, build_model, predict_maps
 from .training import TrainingData, fit, load_checkpoint, restore_model, save_checkpoint
 
-# Unsourced: PAPER.md holds only the abstract, and no run of this code
-# reproduces these numbers. They are printed for comparison, not checked.
-REFERENCE_FULL_SCALE = (
-    "unsourced full-scale reference, not reproduced here: fista mse=0.0124 ssim=0.872; "
-    "fista_resnet mse=0.0065 ssim=0.925; lfista_resnet mse=0.0049 ssim=0.945; "
-    "dnn mse=0.0263 ssim=0.661"
-)
-
 SNR_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 30.0)
 F0_GRID_GHZ = (28.0, 29.0, 30.0, 31.0, 32.0)
 
@@ -277,7 +269,6 @@ def compare_methods(
         out_dir / "comparison_summary.csv",
         ["method", "n_samples", "mean_mse", "mean_ssim"],
         summary_rows,
-        comments=[REFERENCE_FULL_SCALE],
     )
     _write_samples(out_dir / "comparison_samples.csv", "sample", range(len(test_maps)), reports)
     with open(out_dir / "timing.txt", "w", encoding="utf-8") as f:

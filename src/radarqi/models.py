@@ -162,7 +162,7 @@ class LFistaResNet:
         taken (its step size times the gradient at y) and active mask for
         the backward pass."""
         blocks = [] if collect else None
-        for x, _, r in fista_iterates(op, echoes, *self.block_scalars(op), nonneg_shrink):
+        for x, r in fista_iterates(op, echoes, *self.block_scalars(op), nonneg_shrink):
             if collect:
                 blocks.append((r.copy(), x > 0))
         return x, blocks

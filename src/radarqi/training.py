@@ -23,6 +23,11 @@ The loss weights, the learning rate and the plateau schedule's factor and
 patience come from the run's :class:`~radarqi.config.ExperimentConfig`,
 which also range-checks them; nothing here has a default of its own.
 
+:func:`fit` keeps the epoch with the lowest validation loss over epochs
+0..E, where epoch 0 is the initialization; ties keep the earliest epoch.
+``epochs = 0`` is the same rule with one candidate, not a fallback. The
+test split takes no part in the choice.
+
 Training echoes are noise-free and synthesized once up front; every source
 of randomness is seeded, so repeated runs produce byte-identical logs and
 checkpoints.
@@ -97,8 +102,9 @@ class AdamState:
         return state
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
-    """One in-place Adam update on every parameter the state tracks."""
+def adam_step(params: dict, grads: dict, state: AdamState) -> None:
+    """One in-place Adam update on every parameter the state tracks, and on
+    the state's step count and moments."""
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
@@ -112,7 +118,6 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
         m_hat = m / bc1
         v_hat = v / bc2
         params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return state
 
 
 class PlateauSchedule:
@@ -240,8 +245,13 @@ class TrainingData:
     val_echoes: np.ndarray
 
 
-def _validation_metrics(model, op, data: TrainingData, cfg: ExperimentConfig):
-    pred = predict_maps(model, data.val_echoes, op)
+def _validation_metrics(model, op, data: TrainingData, cfg: ExperimentConfig, epoch: int):
+    """Loss, mean MSE and mean SSIM of the model's maps of the validation
+    split; a non-finite map raises DivergedError naming the epoch."""
+    try:
+        pred = predict_maps(model, data.val_echoes, op)
+    except DivergedError as exc:
+        raise DivergedError(f"{exc} of the validation split at epoch {epoch}") from exc
     loss, _ = hybrid_loss_batch(
         data.val_maps, pred, data.val_echoes, op, cfg.loss_lambda1, cfg.loss_lambda2
     )
@@ -250,28 +260,28 @@ def _validation_metrics(model, op, data: TrainingData, cfg: ExperimentConfig):
 
 
 def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, log_path=None) -> Checkpoint:
-    """Train a model on noise-free echoes; returns the best-validation checkpoint.
+    """Train a model on noise-free echoes; returns the checkpoint of the
+    epoch with the lowest validation loss over epochs 0..E.
 
-    Shuffles per epoch from the config seed, evaluates the validation loss
-    each epoch, applies the plateau schedule, and logs one CSV row per epoch
-    (epoch 0 is the untrained model). Raises DivergedError with epoch/batch
-    coordinates if the loss stops being finite.
+    Epoch 0 is the initialization and ties keep the earliest epoch;
+    ``cfg.epochs = 0`` is the same rule with one candidate. Shuffles per
+    epoch from the config seed, sets Adam's rate from the plateau schedule
+    after each epoch's validation, and logs one CSV row per epoch with the
+    rate that epoch trained at. Raises DivergedError naming the epoch and
+    batch if the training loss stops being finite, and the epoch if a
+    validation map does.
     """
     schedule = PlateauSchedule(cfg.learning_rate, cfg.plateau_factor, cfg.plateau_patience)
     adam = AdamState.for_params(model.params, schedule.lr)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x50F1E]))
 
     n_train = len(data.train_maps)
-    rows = []
-    val_loss, val_mse, val_ssim = _validation_metrics(model, op, data, cfg)
-    rows.append((0, schedule.lr, float("nan"), val_loss, val_mse, val_ssim))
-
-    best_loss = np.inf
-    best = None
+    val_loss, val_mse, val_ssim = _validation_metrics(model, op, data, cfg, 0)
+    rows = [(0, adam.lr, float("nan"), val_loss, val_mse, val_ssim)]
+    best = Checkpoint(model.kind, cfg, copy.deepcopy(model.params), 0, val_loss)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n_train)
         epoch_sum = 0.0
-        lr_used = schedule.lr
         for batch_index, start in enumerate(range(0, n_train, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             out, cache = model.forward_cached(data.train_echoes[idx], op)
@@ -284,21 +294,14 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
                     f"non-finite training loss at epoch {epoch}, batch {batch_index}"
                 )
             grads = model.backward(cache, dout)
-            adam.lr = schedule.lr
             adam_step(model.params, grads, adam)
             epoch_sum += loss * len(idx)
-        train_loss = epoch_sum / n_train
 
-        val_loss, val_mse, val_ssim = _validation_metrics(model, op, data, cfg)
-        rows.append((epoch, lr_used, train_loss, val_loss, val_mse, val_ssim))
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best = (epoch, copy.deepcopy(model.params))
-        schedule.update(val_loss)
-
-    if best is None:  # epochs == 0: checkpoint the initialization
-        best_loss = val_loss
-        best = (0, copy.deepcopy(model.params))
+        val_loss, val_mse, val_ssim = _validation_metrics(model, op, data, cfg, epoch)
+        rows.append((epoch, adam.lr, epoch_sum / n_train, val_loss, val_mse, val_ssim))
+        if val_loss < best.best_val_loss:
+            best = Checkpoint(model.kind, cfg, copy.deepcopy(model.params), epoch, val_loss)
+        adam.lr = schedule.update(val_loss)
 
     if log_path is not None:
         write_csv(
@@ -306,12 +309,4 @@ def fit(model, op: ImagingOperator, data: TrainingData, cfg: ExperimentConfig, l
             ["epoch", "lr", "train_loss", "val_loss", "val_mse", "val_ssim"],
             rows,
         )
-
-    epoch_at_best, params = best
-    return Checkpoint(
-        kind=model.kind,
-        config=cfg,
-        params=params,
-        epoch=epoch_at_best,
-        best_val_loss=float(best_loss),
-    )
+    return best

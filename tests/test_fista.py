@@ -350,7 +350,7 @@ class TestFistaSolve:
         echoes = synthesize_echoes(matrix, rasters_to_maps(synthetic_digit_rasters(100, 1), cfg.side_cells))
         lam, n_iter = 0.001, 2000
         steps = np.full(n_iter, 1.0 / table1_op.lmax)
-        for want, _, _ in fista_iterates(table1_op, echoes, steps, lam * steps, soft_threshold):
+        for want, _ in fista_iterates(table1_op, echoes, steps, lam * steps, soft_threshold):
             pass
         n, (r, p) = len(echoes), table1_op.factor.shape
         matmul = np.matmul

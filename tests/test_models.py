@@ -120,7 +120,7 @@ class TestUnrolledForward:
         cfg = ExperimentConfig()
         model = LFistaResNet(table1_op, cfg, True, 0)
         mu = np.full(cfg.n_blocks, 1.0 / table1_op.lmax)
-        for x, _, _ in fista_iterates(table1_op, echoes, mu, cfg.frozen_lambda * mu, nonneg_shrink):
+        for x, _ in fista_iterates(table1_op, echoes, mu, cfg.frozen_lambda * mu, nonneg_shrink):
             pass
         np.testing.assert_array_equal(model.lfista_stage(echoes, table1_op), x)
 

@@ -327,6 +327,40 @@ class TestFit:
         with pytest.raises(DivergedError, match="^non-finite training loss at epoch 2, batch 1$"):
             fit(model, op, data, cfg)
 
+    def test_a_non_finite_validation_map_names_the_epoch(self, monkeypatch):
+        cfg, op, data, model = tiny_training_setup(kind="dnn")  # 2 batches per epoch
+        steps = []
+
+        def poisoned(params, grads, state):
+            adam_step(params, grads, state)
+            steps.append(state.step)
+            if len(steps) == 4:  # the last batch of epoch 2
+                for arr in params.values():
+                    arr[...] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", poisoned)
+        with pytest.raises(
+            DivergedError, match="^non-finite map from echo 0 of the validation split at epoch 2$"
+        ):
+            fit(model, op, data, cfg)
+
+    @pytest.mark.parametrize("kind", ["dnn", "lfista_resnet", "fista_resnet"])
+    def test_the_initialization_is_kept_when_no_epoch_beats_it(self, kind, tmp_path):
+        # ascending the loss: every trained epoch validates worse than epoch 0
+        cfg, op, data, model = tiny_training_setup(kind=kind, epochs=3)
+        init = {name: arr.copy() for name, arr in model.params.items()}
+        backward = model.backward
+        model.backward = lambda cache, dout: {n: -g for n, g in backward(cache, dout).items()}
+        log = tmp_path / "log.csv"
+        ckpt = fit(model, op, data, cfg, log_path=log)
+        val_loss = [float(line.split(",")[3]) for line in log.read_text().splitlines()[1:]]
+        assert min(val_loss[1:]) > val_loss[0]
+        assert ckpt.epoch == 0
+        assert ckpt.best_val_loss == val_loss[0]
+        assert list(ckpt.params) == list(init)
+        for name in init:
+            np.testing.assert_array_equal(ckpt.params[name], init[name])
+
     def test_mse_only_gradients_end_to_end(self):
         # lambda1 = lambda2 = 0 reduces training to plain MSE regression;
         # verify the full chain loss -> model parameters by finite differences
